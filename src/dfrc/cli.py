@@ -26,6 +26,7 @@ from .model import (
 )
 from .sweep import (
     DEFAULT_BEAMPATTERN_LOSSES_DB,
+    _check_loss_grid,
     beampattern_sweep,
     default_loss_grid_db,
     tradeoff_sweep,
@@ -165,14 +166,15 @@ def resolve_gamma(config: dict, scenario: Scenario) -> float:
 def _loss_grid(config: dict) -> np.ndarray:
     sw = _section(config, "sweep", required=False)
     if "loss_grid_db" in sw:
-        grid = sw["loss_grid_db"]
-        if not isinstance(grid, list) or not grid:
+        values = sw["loss_grid_db"]
+        if not isinstance(values, list) or not values:
             raise ConfigError("'sweep.loss_grid_db' must be a nonempty list")
-        values = np.array([float(_e) for _e in grid], dtype=np.float64)
     elif {"loss_start_db", "loss_stop_db", "loss_step_db"} & sw.keys():
         start = float(_number(sw, "sweep", "loss_start_db", -40.0))
         stop = float(_number(sw, "sweep", "loss_stop_db", 0.0))
         step = float(_number(sw, "sweep", "loss_step_db", 0.25))
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ConfigError("loss grid bounds and step must be finite")
         if not step > 0:
             raise ConfigError("'sweep.loss_step_db' must be positive")
         count = round((stop - start) / step)
@@ -180,12 +182,11 @@ def _loss_grid(config: dict) -> np.ndarray:
             raise ConfigError("loss grid bounds must differ by a whole number of steps")
         values = np.linspace(start, stop, count + 1)
     else:
-        values = default_loss_grid_db()
-    if np.any(values > 0.0):
-        raise ConfigError("loss grid entries must be <= 0 dB")
-    if np.any(np.diff(values) <= 0.0):
-        raise ConfigError("loss grid must be strictly ascending")
-    return values
+        return default_loss_grid_db()
+    try:
+        return _check_loss_grid(values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid loss grid: {exc}") from exc
 
 
 def _out_dir(config: dict, args) -> Path:

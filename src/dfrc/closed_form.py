@@ -9,6 +9,7 @@ scalars ||h||^2, ||a_t||^2 and h^H a_t.
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,22 +44,29 @@ class CaseTag(enum.Enum):
 class BeamformerSolution:
     """Optimal rank-one transmit beam and its bookkeeping.
 
-    ``vector_c`` is the beamforming vector, ``covariance`` its outer product,
-    ``coeff_a``/``coeff_b`` the complex weights on the channel and the target
-    steering vector in ``c = coeff_a * h + coeff_b * a_t``. ``eta`` and
-    ``beta`` are the intermediate magnitude and discriminant of the
-    constrained case; both are None when the constraint is slack or the
-    channel is (numerically) parallel to the steering vector.
+    ``vector_c`` is the beamforming vector, ``coeff_a``/``coeff_b`` the
+    complex weights on the channel and the target steering vector in
+    ``c = coeff_a * h + coeff_b * a_t``. ``eta`` and ``beta`` are the
+    intermediate magnitude and discriminant of the constrained case; both are
+    None when the constraint is slack or the channel is (numerically)
+    parallel to the steering vector.
+
+    ``covariance``, the read-only outer product ``c c^H``, is not a field: it
+    is formed on first access and kept, so a caller that never reads it
+    never pays for the M x M matrix.
     """
 
     case: CaseTag
     coeff_a: complex
     coeff_b: complex
     vector_c: np.ndarray
-    covariance: np.ndarray
     capacity_bits: float
     eta: float | None = None
     beta: float | None = None
+
+    @functools.cached_property
+    def covariance(self) -> np.ndarray:
+        return assemble_covariance(self.vector_c)
 
 
 def classify_case(scenario: Scenario, gamma: float) -> CaseTag:
@@ -89,24 +97,29 @@ def assemble_covariance(vector_c: np.ndarray) -> np.ndarray:
     return r
 
 
-def optimal_received_power(scenario: Scenario, gamma: float) -> float:
-    """Optimal value of h^H R h at threshold ``gamma`` (capacity = log2(1+this)).
-
-    Raises InfeasibleRadarRequirement when gamma exceeds the feasible maximum.
-    """
+def _case_and_received_power(scenario: Scenario, gamma: float) -> tuple[CaseTag, float]:
+    """Regime at ``gamma`` and the optimal h^H R h there, classifying once."""
     tag = classify_case(scenario, gamma)
     if tag is CaseTag.INFEASIBLE:
         raise InfeasibleRadarRequirement(gamma, scenario.max_target_power)
     hh = scenario.channel_norm_sq
     power = scenario.power_budget
     if tag is CaseTag.BELOW_THRESHOLD:
-        return power * hh
+        return tag, power * hh
     aa = scenario.steering_norm_sq
     gabs = abs(scenario.cross_gain)
     # clamps absorb float dust at the upper boundary and at collinearity
     beta = max(power * aa - gamma, 0.0) * max(hh * aa - gabs * gabs, 0.0)
     root = math.sqrt(gamma) * gabs + math.sqrt(beta)
-    return root * root / (aa * aa)
+    return tag, root * root / (aa * aa)
+
+
+def optimal_received_power(scenario: Scenario, gamma: float) -> float:
+    """Optimal value of h^H R h at threshold ``gamma`` (capacity = log2(1+this)).
+
+    Raises InfeasibleRadarRequirement when gamma exceeds the feasible maximum.
+    """
+    return _case_and_received_power(scenario, gamma)[1]
 
 
 def capacity_closed_form(scenario: Scenario, gamma: float) -> float:
@@ -120,16 +133,15 @@ def capacity_closed_form_nats(scenario: Scenario, gamma: float) -> float:
 
 
 def solve_closed_form(scenario: Scenario, gamma: float) -> BeamformerSolution:
-    """Optimal beamforming vector, covariance and capacity at ``gamma``.
+    """Optimal beamforming vector and capacity at ``gamma``.
 
     The returned vector satisfies the power budget exactly and meets the
     threshold exactly when the constraint binds. Phases are pinned: coeff_b
     is real nonnegative and coeff_a carries the phase of h^H a_t (zero when
     that inner product is exactly zero), making the output deterministic.
+    The covariance c c^H is only formed if the caller reads it.
     """
-    tag = classify_case(scenario, gamma)
-    if tag is CaseTag.INFEASIBLE:
-        raise InfeasibleRadarRequirement(gamma, scenario.max_target_power)
+    tag, received = _case_and_received_power(scenario, gamma)
     hh = scenario.channel_norm_sq
     aa = scenario.steering_norm_sq
     power = scenario.power_budget
@@ -165,8 +177,7 @@ def solve_closed_form(scenario: Scenario, gamma: float) -> BeamformerSolution:
         coeff_a=a,
         coeff_b=b,
         vector_c=c,
-        covariance=assemble_covariance(c),
-        capacity_bits=capacity_closed_form(scenario, gamma),
+        capacity_bits=math.log2(1.0 + received),
         eta=eta,
         beta=beta,
     )

@@ -100,25 +100,33 @@ def default_angle_grid() -> np.ndarray:
     return np.deg2rad(np.linspace(-90.0, 90.0, DEFAULT_PATTERN_POINTS))
 
 
+def _pattern_angles(angle_grid=None) -> np.ndarray:
+    """Validated beam-pattern angles (radians): the default grid when None."""
+    if angle_grid is None:
+        return default_angle_grid()
+    angles = np.asarray(angle_grid, dtype=np.float64)
+    if angles.ndim != 1 or angles.size == 0:
+        raise ValueError("angle_grid must be a nonempty 1-D array")
+    if np.any(np.isnan(angles)) or angles.min() < -_HALF_PI_TOL or angles.max() > _HALF_PI_TOL:
+        raise ValueError("angle_grid entries must lie in [-pi/2, pi/2] rad")
+    return angles
+
+
+def _steering_matrix(geometry: ArrayGeometry, angles: np.ndarray) -> np.ndarray:
+    """Rows are the array's steering vectors a(phi) at each of ``angles``."""
+    phase = -2.0 * math.pi * geometry.spacing_over_wavelength
+    return np.exp(1j * phase * np.outer(np.sin(angles), np.arange(geometry.num_antennas)))
+
+
 def beam_pattern(covariance, geometry: ArrayGeometry, angle_grid=None) -> BeamPattern:
     """Transmit power a(phi)^H R a(phi) over a grid of directions.
 
     Rounding dust below zero is clamped; genuinely negative values raise,
     since they mean the covariance is not PSD.
     """
-    if angle_grid is None:
-        angles = default_angle_grid()
-    else:
-        angles = np.asarray(angle_grid, dtype=np.float64)
-        if angles.ndim != 1 or angles.size == 0:
-            raise ValueError("angle_grid must be a nonempty 1-D array")
-        if np.any(np.isnan(angles)) or angles.min() < -_HALF_PI_TOL or angles.max() > _HALF_PI_TOL:
-            raise ValueError("angle_grid entries must lie in [-pi/2, pi/2] rad")
-    m = geometry.num_antennas
-    r = _as_covariance(covariance, m)
-    # rows of A are steering vectors at each grid angle
-    phase = -2.0 * math.pi * geometry.spacing_over_wavelength
-    a = np.exp(1j * phase * np.outer(np.sin(angles), np.arange(m)))
+    angles = _pattern_angles(angle_grid)
+    r = _as_covariance(covariance, geometry.num_antennas)
+    a = _steering_matrix(geometry, angles)
     power = np.einsum("nm,nm->n", a.conj() @ r, a).real
     scale = max(1.0, float(np.abs(np.trace(r))))
     if power.min() < -_PSD_ATOL * scale:

@@ -44,6 +44,13 @@ def _check_angle(angle: float, label: str) -> float:
     return angle
 
 
+def _positive_finite(value, label: str) -> float:
+    value = float(value)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{label} must be positive and finite, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Uniform linear array: element count and spacing in wavelengths."""
@@ -56,9 +63,7 @@ class ArrayGeometry:
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
             raise ValueError(f"num_antennas must be a positive integer, got {n!r}")
         object.__setattr__(self, "num_antennas", int(n))
-        d = float(self.spacing_over_wavelength)
-        if not d > 0.0:
-            raise ValueError(f"spacing_over_wavelength must be positive, got {d!r}")
+        d = _positive_finite(self.spacing_over_wavelength, "spacing_over_wavelength")
         object.__setattr__(self, "spacing_over_wavelength", d)
 
 
@@ -130,12 +135,8 @@ class Scenario:
         hh = float(np.vdot(ch, ch).real)
         if not hh > 0.0:
             raise ValueError("channel must be nonzero")
-        p = float(self.power_budget)
-        if not p > 0.0:
-            raise ValueError(f"power_budget must be positive, got {p!r}")
-        amp = float(self.target_amplitude)
-        if not amp > 0.0:
-            raise ValueError(f"target_amplitude must be positive, got {amp!r}")
+        p = _positive_finite(self.power_budget, "power_budget")
+        amp = _positive_finite(self.target_amplitude, "target_amplitude")
         ch.setflags(write=False)
         at = steering_vector(self.geometry, self.target_angle)
         object.__setattr__(self, "channel", ch)

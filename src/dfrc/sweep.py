@@ -9,14 +9,16 @@ separator, LF line endings.
 """
 
 import csv
+import io
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .closed_form import CaseTag, solve_closed_form
-from .metrics import beam_pattern, default_angle_grid
+from .closed_form import CaseTag, _case_and_received_power, solve_closed_form
+from .metrics import BeamPattern, _pattern_angles, _steering_matrix
 from .model import RadarSnrSpec, Scenario, resolve_radar_spec
 
 __all__ = [
@@ -67,65 +69,92 @@ def tradeoff_sweep(scenario: Scenario, losses_db=None) -> list[TradeoffPoint]:
     """Capacity and regime at each allowed SNR loss (ascending, <= 0 dB)."""
     grid = default_loss_grid_db() if losses_db is None else _check_loss_grid(losses_db)
     points = []
-    for loss in grid:
-        spec = resolve_radar_spec(RadarSnrSpec(snr_loss_db=float(loss)), scenario)
-        solution = solve_closed_form(scenario, spec.gamma)
+    # scalar math per point: a vectorized version rounds differently in the
+    # last bit (numpy's power and log2 are not libm's), changing CSV bytes
+    for loss in grid.tolist():
+        gamma = resolve_radar_spec(RadarSnrSpec(snr_loss_db=loss), scenario).gamma
+        case, received = _case_and_received_power(scenario, gamma)
         points.append(
             TradeoffPoint(
-                snr_loss_db=float(loss),
-                gamma=spec.gamma,
-                capacity_bits=solution.capacity_bits,
-                case=solution.case,
+                snr_loss_db=loss,
+                gamma=gamma,
+                capacity_bits=math.log2(1.0 + received),
+                case=case,
             )
         )
     return points
+
+
+def _project(steering: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # a(phi)^H x for every row a(phi)^T of ``steering``; einsum instead of a
+    # BLAS matvec, whose thread wake-up alone can cost milliseconds
+    return np.einsum("nm,m->n", steering, x.conj()).conj()
 
 
 def beampattern_sweep(scenario: Scenario, losses_db=None, angle_grid=None):
     """Beam pattern of the optimal covariance at each SNR loss.
 
     Returns a list of (snr_loss_db, BeamPattern) pairs over the default
-    0.25-degree grid unless ``angle_grid`` (radians) is given.
+    0.25-degree grid unless ``angle_grid`` (radians) is given. The optimum is
+    rank one, c = coeff_a * h + coeff_b * a_t, so each pattern is
+    |coeff_a * a^H h + coeff_b * a^H a_t|^2 from two projections made once
+    per call; no covariance is formed.
     """
     if losses_db is None:
         losses_db = DEFAULT_BEAMPATTERN_LOSSES_DB
     grid = _check_loss_grid(losses_db)
-    if angle_grid is None:
-        angle_grid = default_angle_grid()
+    angles = _pattern_angles(angle_grid).copy()
+    angles.setflags(write=False)
+    steering = _steering_matrix(scenario.geometry, angles)
+    on_channel = _project(steering, scenario.channel)
+    on_target = _project(steering, scenario.target_steering)
     out = []
-    for loss in grid:
-        spec = resolve_radar_spec(RadarSnrSpec(snr_loss_db=float(loss)), scenario)
+    for loss in grid.tolist():
+        spec = resolve_radar_spec(RadarSnrSpec(snr_loss_db=loss), scenario)
         solution = solve_closed_form(scenario, spec.gamma)
-        pattern = beam_pattern(solution.covariance, scenario.geometry, angle_grid)
-        out.append((float(loss), pattern))
+        field = solution.coeff_a * on_channel + solution.coeff_b * on_target
+        power = field.real * field.real + field.imag * field.imag
+        power.setflags(write=False)
+        out.append((loss, BeamPattern(angles=angles, power=power)))
     return out
 
 
+def _format_float(value: float) -> str:
+    return format(value, ".17g")
+
+
+# keyed on the exact type, so that bool (an int subclass) is rejected
+_FORMATTERS = {str: str, int: str, float: _format_float}
+
+
 def _format_field(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError(f"unsupported CSV field type: {value!r}")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    raise TypeError(f"unsupported CSV field type: {value!r}")
+    # a numpy scalar is written as the Python value it holds; np.bool_ holds
+    # a bool and is rejected with every other type
+    native = value.item() if isinstance(value, np.generic) else value
+    try:
+        formatter = _FORMATTERS[type(native)]
+    except KeyError:
+        raise TypeError(f"unsupported CSV field type: {value!r}") from None
+    return formatter(native)
 
 
 def emit_csv(rows, header, destination) -> Path:
     """Write rows to ``destination`` deterministically; returns the path.
 
-    Floats carry 17 significant digits (lossless round trip), lines end in
-    LF regardless of platform. I/O errors are re-raised with the path.
+    Fields are str, int or float (or numpy scalars of those). Floats carry
+    17 significant digits (lossless round trip), strings are quoted as the
+    csv module does, lines end in LF regardless of platform. The text is
+    formatted in memory and written at once. I/O errors are re-raised with
+    the path.
     """
     path = Path(destination)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_format_field(v) for v in row] for row in rows)
     try:
         with open(path, "w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_format_field(v) for v in row])
+            fh.write(text.getvalue())
     except OSError as exc:
         raise OSError(f"failed writing {path}: {exc}") from exc
     return path
@@ -143,8 +172,12 @@ def write_beampattern_csv(patterns, destination) -> Path:
     """Emit (loss, pattern) pairs in long form: snr_loss_db,angle_deg,power."""
 
     def rows():
+        angles = None
         for loss, pattern in patterns:
-            for angle, power in zip(pattern.angles, pattern.power):
-                yield (loss, math.degrees(float(angle)), float(power))
+            # the patterns of one sweep share their angle grid: format it once
+            if pattern.angles is not angles:
+                angles = pattern.angles
+                degrees = [_format_float(math.degrees(a)) for a in angles.tolist()]
+            yield from zip(repeat(_format_field(loss)), degrees, pattern.power.tolist())
 
     return emit_csv(rows(), BEAMPATTERN_HEADER, destination)

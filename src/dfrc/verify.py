@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 
-from .closed_form import CaseTag, assemble_covariance, optimal_received_power, solve_closed_form
+from .closed_form import CaseTag, optimal_received_power, solve_closed_form
 from .metrics import channel_power
 from .model import Scenario
 from .oracle import grid_search_oracle, kkt_check, random_falsifier
@@ -37,7 +37,7 @@ def _perturbed(solution, scenario: Scenario, magnitude: float, seed: int):
     noise *= magnitude * np.sqrt(scenario.power_budget) / np.linalg.norm(noise)
     c = solution.vector_c + noise
     c.setflags(write=False)
-    return dataclasses.replace(solution, vector_c=c, covariance=assemble_covariance(c))
+    return dataclasses.replace(solution, vector_c=c)
 
 
 def run_verification(

@@ -129,6 +129,21 @@ class TestSolveCommand:
         assert rc == EXIT_OK
         assert "capacity_bits" in out.read_text()
 
+    @pytest.mark.parametrize(
+        "key, field",
+        [
+            ("power", "power_budget"),
+            ("target_amplitude", "target_amplitude"),
+            ("spacing_over_wavelength", "spacing_over_wavelength"),
+        ],
+    )
+    def test_non_finite_scenario_value_is_named(self, tmp_path, capsys, key, field):
+        path = write_config(tmp_path, {"scenario": {key: math.inf}})
+        rc = main(["solve", "--config", str(path)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid scenario") and field in err
+
     def test_infeasible_exit_code_and_message(self, tmp_path, capsys):
         path = write_config(tmp_path, {"radar": {"gamma": 11.0}})
         rc = main(["solve", "--config", str(path)])
@@ -203,6 +218,22 @@ class TestSweepCommand:
         path = write_config(tmp_path, {"sweep": {"loss_grid_db": [-5.0, 1.0]}})
         rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            {"loss_grid_db": [math.nan, -1.0]},
+            {"loss_grid_db": ["abc", -1.0]},
+            {"loss_start_db": math.nan, "loss_stop_db": 0.0, "loss_step_db": 1.0},
+            {"loss_start_db": -math.inf, "loss_stop_db": 0.0, "loss_step_db": 1.0},
+        ],
+        ids=["nan-entry", "text-entry", "nan-start", "inf-start"],
+    )
+    def test_bad_grid_is_config_error(self, tmp_path, capsys, sweep):
+        path = write_config(tmp_path, {"sweep": sweep})
+        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestBeampatternCommand:

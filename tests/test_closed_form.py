@@ -272,6 +272,41 @@ class TestSolveClosedForm:
             sol.covariance[0, 0] = 0.0
 
 
+class TestLazyCovariance:
+    def test_formed_on_first_access_and_kept(self, reference_scenario):
+        sol = solve_closed_form(reference_scenario, 5.0)
+        assert "covariance" not in vars(sol)
+        r = sol.covariance
+        np.testing.assert_array_equal(r, assemble_covariance(sol.vector_c))
+        assert sol.covariance is r
+
+    def test_replace_derives_from_new_vector(self, reference_scenario):
+        import dataclasses
+
+        sol = solve_closed_form(reference_scenario, 5.0)
+        _ = sol.covariance
+        c = np.array(sol.vector_c) * 1j
+        moved = dataclasses.replace(sol, vector_c=c)
+        np.testing.assert_array_equal(moved.covariance, np.outer(c, c.conj()))
+
+    def test_huge_array_needs_no_covariance(self):
+        # c c^H would take 149 GiB here; nothing on the solve path forms it
+        m = 100_000
+        sc = Scenario.with_los_user(ArrayGeometry(m, 0.5), 0.3, -0.2, 2.0)
+        gamma = 0.5 * sc.max_target_power
+        sol = solve_closed_form(sc, gamma)
+        assert "covariance" not in vars(sol)
+        assert sol.case is CaseTag.ACTIVE
+        assert sol.capacity_bits == capacity_closed_form(sc, gamma)
+        c = sol.vector_c
+        assert c.shape == (m,)
+        received = abs(np.vdot(sc.channel, c)) ** 2
+        assert sol.capacity_bits == pytest.approx(math.log2(1.0 + received), rel=1e-9)
+        assert float(np.vdot(c, c).real) == pytest.approx(sc.power_budget, rel=1e-9)
+        target = abs(np.vdot(sc.target_steering, c)) ** 2
+        assert target == pytest.approx(gamma, rel=1e-9)
+
+
 class TestAssembleCovariance:
     def test_outer_product(self):
         c = np.array([1.0 + 1.0j, 2.0 - 0.5j])

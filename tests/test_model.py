@@ -30,6 +30,12 @@ class TestArrayGeometry:
             ArrayGeometry(4, d)
 
 
+    @pytest.mark.parametrize("d", [math.inf, math.nan])
+    def test_non_finite_spacing_names_field(self, d):
+        with pytest.raises(ValueError, match="spacing_over_wavelength"):
+            ArrayGeometry(4, d)
+
+
 class TestSteeringVector:
     def test_broadside_is_all_ones(self):
         v = steering_vector(ArrayGeometry(6, 0.5), 0.0)
@@ -132,6 +138,14 @@ class TestScenario:
         bad[1] = complex(math.inf, 0.0)
         with pytest.raises(ValueError):
             Scenario(geom, 0.0, bad, 1.0)
+
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["power_budget", "target_amplitude"])
+    def test_non_finite_values_name_field(self, field, value):
+        kwargs = {"power_budget": 1.0, "target_amplitude": 1.0, field: value}
+        with pytest.raises(ValueError, match=field):
+            Scenario(ArrayGeometry(4, 0.5), 0.0, np.ones(4, dtype=complex), **kwargs)
 
 
 class TestRadarSnrSpec:

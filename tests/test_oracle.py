@@ -156,9 +156,7 @@ class TestKktCheck:
         sc = reference_scenario
         sol = solve_closed_form(sc, 5.0)
         bad_c = sol.vector_c + 0.05 * np.exp(1j * 0.7) * np.ones(10)
-        bad = dataclasses.replace(
-            sol, vector_c=bad_c, covariance=np.outer(bad_c, bad_c.conj())
-        )
+        bad = dataclasses.replace(sol, vector_c=bad_c)
         cert = kkt_check(bad, sc, 5.0)
         assert not cert.within_bounds(sc.power_budget, 5.0)
         assert "stationarity" in cert.failures(sc.power_budget, 5.0) or "power" in cert.failures(
@@ -174,9 +172,7 @@ class TestKktCheck:
             sc.power_budget / sc.steering_norm_sq
         )
         sol = solve_closed_form(sc, 5.0)
-        cand = dataclasses.replace(
-            sol, vector_c=c, covariance=np.outer(c, c.conj())
-        )
+        cand = dataclasses.replace(sol, vector_c=c)
         cert = kkt_check(cand, sc, 5.0)
         assert "stationarity" in cert.failures(sc.power_budget, 5.0)
 

@@ -1,15 +1,20 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
 
 from dfrc import (
+    ArrayGeometry,
     CaseTag,
     RadarSnrSpec,
+    Scenario,
+    beam_pattern,
     beampattern_sweep,
     capacity_closed_form,
     resolve_radar_spec,
+    solve_closed_form,
     tradeoff_sweep,
     write_beampattern_csv,
     write_tradeoff_csv,
@@ -109,6 +114,60 @@ class TestBeampatternSweep:
         assert pat.angles[peak] == pytest.approx(sc.target_angle, abs=math.radians(0.3))
 
 
+def _random_scenario(m, kind):
+    rng = np.random.default_rng([m, kind == "los"])
+    geometry = ArrayGeometry(m, 0.5)
+    target = float(rng.uniform(-math.pi / 3, math.pi / 3))
+    power = float(10.0 ** rng.uniform(-1.0, 1.0))
+    if kind == "los":
+        user = float(rng.uniform(-math.pi / 2, math.pi / 2))
+        return Scenario.with_los_user(geometry, target, user, power)
+    channel = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2.0)
+    return Scenario(geometry, target, channel, power)
+
+
+RANK_ONE_CASES = [(m, kind) for m in (1, 8, 64, 512) for kind in ("los", "rayleigh")]
+
+
+class TestRankOnePath:
+    """The sweeps skip the covariance; they must agree with the full solve."""
+
+    @pytest.mark.parametrize("m, kind", RANK_ONE_CASES)
+    def test_tradeoff_points_equal_full_solve(self, m, kind):
+        sc = _random_scenario(m, kind)
+        for p in tradeoff_sweep(sc):
+            gamma = resolve_radar_spec(RadarSnrSpec(snr_loss_db=p.snr_loss_db), sc).gamma
+            sol = solve_closed_form(sc, gamma)
+            assert p.gamma == gamma
+            assert p.capacity_bits == sol.capacity_bits
+            assert p.case is sol.case
+
+    @pytest.mark.parametrize("m, kind", RANK_ONE_CASES)
+    def test_patterns_match_covariance_patterns(self, m, kind):
+        sc = _random_scenario(m, kind)
+        for loss, pat in beampattern_sweep(sc):
+            gamma = resolve_radar_spec(RadarSnrSpec(snr_loss_db=loss), sc).gamma
+            sol = solve_closed_form(sc, gamma)
+            ref = beam_pattern(sol.covariance, sc.geometry)
+            assert np.array_equal(pat.angles, ref.angles)
+            peak = float(ref.power.max())
+            assert np.max(np.abs(pat.power - ref.power)) <= 1e-12 * peak
+            assert not pat.power.flags.writeable and not pat.angles.flags.writeable
+
+    @pytest.mark.parametrize(
+        "grid",
+        [[], [[0.1, 0.2]], [0.0, 2.0], [-1.6], [0.0, math.nan]],
+        ids=["empty", "2-D", "above", "below", "nan"],
+    )
+    def test_invalid_angle_grid_raises_like_beam_pattern(self, reference_scenario, grid):
+        sc = reference_scenario
+        cov = solve_closed_form(sc, 5.0).covariance
+        with pytest.raises(ValueError) as expected:
+            beam_pattern(cov, sc.geometry, grid)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            beampattern_sweep(sc, [-5.0], angle_grid=grid)
+
+
 class TestCsvEmission:
     def test_tradeoff_csv_format(self, reference_scenario, tmp_path):
         points = tradeoff_sweep(reference_scenario, [-10.0, -5.0, 0.0])
@@ -164,6 +223,23 @@ class TestCsvEmission:
     def test_emit_rejects_unknown_types(self, tmp_path):
         with pytest.raises(TypeError):
             emit_csv([[object()]], ("x",), tmp_path / "bad.csv")
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), 1 + 2j, None])
+    def test_emit_rejects_bools_and_non_reals(self, tmp_path, value):
+        with pytest.raises(TypeError):
+            emit_csv([[value]], ("x",), tmp_path / "bad.csv")
+
+    def test_numpy_scalars_write_like_python_values(self, tmp_path):
+        native = [[0.1, -3, "a,b", 'say "hi"', 1e-300, float("inf")]]
+        numpy = [[np.float64(0.1), np.int64(-3), np.str_("a,b"), 'say "hi"',
+                  np.float64(1e-300), np.float32("inf")]]
+        header = ("f", "i", "s", "q", "tiny", "inf")
+        a = emit_csv(native, header, tmp_path / "a.csv").read_bytes()
+        b = emit_csv(numpy, header, tmp_path / "b.csv").read_bytes()
+        assert a == b
+        assert a.decode("ascii").split("\n")[1] == (
+            '0.10000000000000001,-3,"a,b","say ""hi""",1e-300,inf'
+        )
 
     def test_io_error_carries_path(self, reference_scenario, tmp_path):
         points = tradeoff_sweep(reference_scenario, [-1.0, 0.0])
