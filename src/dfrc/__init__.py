@@ -13,7 +13,6 @@ from .closed_form import (
     CaseTag,
     assemble_covariance,
     capacity_closed_form,
-    capacity_closed_form_nats,
     classify_case,
     optimal_received_power,
     solve_closed_form,
@@ -26,14 +25,12 @@ from .metrics import (
     channel_power,
     default_angle_grid,
     radar_snr,
-    receive_beamformer,
 )
 from .model import (
     ArrayGeometry,
     InfeasibleRadarRequirement,
     RadarSnrSpec,
     Scenario,
-    los_channel,
     resolve_radar_spec,
     steering_vector,
 )
@@ -76,7 +73,6 @@ __all__ = [
     "beam_pattern",
     "beampattern_sweep",
     "capacity_closed_form",
-    "capacity_closed_form_nats",
     "capacity_from_covariance",
     "channel_power",
     "classify_case",
@@ -84,11 +80,9 @@ __all__ = [
     "default_loss_grid_db",
     "grid_search_oracle",
     "kkt_check",
-    "los_channel",
     "optimal_received_power",
     "radar_snr",
     "random_falsifier",
-    "receive_beamformer",
     "resolve_radar_spec",
     "run_verification",
     "solve_closed_form",

@@ -85,13 +85,28 @@ def _section(config: dict, name: str, required: bool = True) -> dict:
     return block
 
 
+def _is_number(value) -> bool:
+    # YAML booleans are ints to Python; they are not numbers here
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(block: dict, section: str, key: str, default=None):
     value = block.get(key, default)
     if value is None:
         raise ConfigError(f"config is missing '{section}.{key}'")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigError(f"'{section}.{key}' must be a number, got {value!r}")
     return value
+
+
+def _number_list(values, name: str) -> list:
+    """``values`` if it is a nonempty list of numbers; ``name`` is its config key."""
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"'{name}' must be a nonempty list")
+    for index, value in enumerate(values):
+        if not _is_number(value):
+            raise ConfigError(f"'{name}[{index}]' must be a number, got {value!r}")
+    return values
 
 
 def build_scenario(config: dict, user_angle_deg=None) -> Scenario:
@@ -166,9 +181,7 @@ def resolve_gamma(config: dict, scenario: Scenario) -> float:
 def _loss_grid(config: dict) -> np.ndarray:
     sw = _section(config, "sweep", required=False)
     if "loss_grid_db" in sw:
-        values = sw["loss_grid_db"]
-        if not isinstance(values, list) or not values:
-            raise ConfigError("'sweep.loss_grid_db' must be a nonempty list")
+        values = _number_list(sw["loss_grid_db"], "sweep.loss_grid_db")
     elif {"loss_start_db", "loss_stop_db", "loss_step_db"} & sw.keys():
         start = float(_number(sw, "sweep", "loss_start_db", -40.0))
         stop = float(_number(sw, "sweep", "loss_stop_db", 0.0))
@@ -248,8 +261,7 @@ def cmd_sweep(args) -> int:
     out_dir = _out_dir(config, args)
     angles = sw.get("user_angles_deg")
     if angles is not None:
-        if not isinstance(angles, list) or not angles:
-            raise ConfigError("'sweep.user_angles_deg' must be a nonempty list")
+        _number_list(angles, "sweep.user_angles_deg")
         jobs = [
             (f"tradeoff_{_angle_label(float(a))}.csv", build_scenario(config, float(a)))
             for a in angles
@@ -270,8 +282,7 @@ def cmd_beampattern(args) -> int:
     losses = sw.get("beampattern_losses_db")
     if losses is None:
         losses = list(DEFAULT_BEAMPATTERN_LOSSES_DB)
-    if not isinstance(losses, list) or not losses:
-        raise ConfigError("'sweep.beampattern_losses_db' must be a nonempty list")
+    _number_list(losses, "sweep.beampattern_losses_db")
     out_dir = _out_dir(config, args)
     try:
         patterns = beampattern_sweep(scenario, [float(v) for v in losses])

@@ -22,7 +22,6 @@ __all__ = [
     "CaseTag",
     "assemble_covariance",
     "capacity_closed_form",
-    "capacity_closed_form_nats",
     "classify_case",
     "optimal_received_power",
     "solve_closed_form",
@@ -125,11 +124,6 @@ def optimal_received_power(scenario: Scenario, gamma: float) -> float:
 def capacity_closed_form(scenario: Scenario, gamma: float) -> float:
     """Maximum spectral efficiency in bits at target-power threshold ``gamma``."""
     return math.log2(1.0 + optimal_received_power(scenario, gamma))
-
-
-def capacity_closed_form_nats(scenario: Scenario, gamma: float) -> float:
-    """Same as :func:`capacity_closed_form` but in nats."""
-    return math.log(1.0 + optimal_received_power(scenario, gamma))
 
 
 def solve_closed_form(scenario: Scenario, gamma: float) -> BeamformerSolution:

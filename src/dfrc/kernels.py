@@ -2,7 +2,8 @@
 
 Each kernel has a numba fast path and a pure-numpy fallback with identical
 arithmetic; set DFRC_DISABLE_NUMBA=1 to force the numpy path (the module
-also falls back automatically when numba is not importable). The falsifier
+also falls back, silently, when numba is not importable; NUMBA_ENABLED says
+which path runs). The falsifier
 draws from a counter-based generator (splitmix64 finalizer), so both paths
 produce bit-identical streams and trials are independent of chunking.
 
@@ -16,7 +17,6 @@ only be met at the very top of its range) is anchored analytically via the
 """
 
 import os
-import warnings
 
 import numpy as np
 
@@ -47,12 +47,8 @@ if not _numba_disabled_by_env():
         from numba import njit
 
         NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - depends on the environment
-        warnings.warn(
-            "numba is not importable; falling back to pure-numpy kernels",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    except ImportError:  # pragma: no cover - numba is the optional ``jit`` extra
+        pass
 
 TWO_PI = 2.0 * np.pi
 

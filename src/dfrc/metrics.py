@@ -19,7 +19,6 @@ __all__ = [
     "channel_power",
     "default_angle_grid",
     "radar_snr",
-    "receive_beamformer",
 ]
 
 # 0.25 degree steps over [-90, 90]
@@ -30,6 +29,10 @@ DEFAULT_PATTERN_POINTS = 721
 _PSD_ATOL = 1e-9
 
 _HALF_PI_TOL = math.pi / 2.0 + 1e-12
+
+# about this many steering entries per projection block (32 or 33 angles at
+# M = 512), so that the whole N x M steering matrix is never formed
+_PROJECTION_BLOCK_ENTRIES = 16384
 
 
 @dataclass(frozen=True)
@@ -59,18 +62,6 @@ def channel_power(covariance, channel) -> float:
 def capacity_from_covariance(covariance, channel) -> float:
     """Spectral efficiency log2(1 + h^H R h) in bits (noise power 1)."""
     return math.log2(1.0 + max(channel_power(covariance, channel), 0.0))
-
-
-def receive_beamformer(scenario: Scenario) -> np.ndarray:
-    """Unit-norm receive weights matched to the target direction.
-
-    This is the SNR-optimal choice for a point target; radar_snr with any
-    other unit-norm weights can only be lower.
-    """
-    at = scenario.target_steering
-    w = at / np.linalg.norm(at)
-    w.setflags(write=False)
-    return w
 
 
 def radar_snr(covariance, scenario: Scenario, weights=None) -> float:
@@ -115,19 +106,60 @@ def _pattern_angles(angle_grid=None) -> np.ndarray:
 def _steering_matrix(geometry: ArrayGeometry, angles: np.ndarray) -> np.ndarray:
     """Rows are the array's steering vectors a(phi) at each of ``angles``."""
     phase = -2.0 * math.pi * geometry.spacing_over_wavelength
-    return np.exp(1j * phase * np.outer(np.sin(angles), np.arange(geometry.num_antennas)))
+    x = phase * np.outer(np.sin(angles), np.arange(geometry.num_antennas))
+    # cos + j sin of the real phase: the same bits as np.exp(1j * x), without
+    # a complex exponential
+    out = np.empty(x.shape, dtype=np.complex128)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
+
+
+def _project(steering: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # a(phi)^H x for every row a(phi)^T of ``steering``; einsum instead of a
+    # BLAS matvec, whose thread wake-up alone can cost milliseconds
+    return np.einsum("nm,m->n", steering, x.conj()).conj()
+
+
+def _steering_projections(geometry: ArrayGeometry, angles: np.ndarray, *vectors):
+    """a(phi)^H x at each of ``angles``, one array per x in ``vectors``.
+
+    The steering matrix is built one block of angles at a time, so it is
+    never held whole and each block stays in cache. Every row is summed as
+    in a single unblocked projection, so the results are the same bits.
+    """
+    # at least two rows per block unless there is only one angle: beyond
+    # 8,192 antennas einsum sums a one-row matrix in a different order
+    rows = max(2, _PROJECTION_BLOCK_ENTRIES // geometry.num_antennas)
+    parts = [[] for _ in vectors]
+    for block_angles in np.array_split(angles, max(1, angles.size // rows)):
+        block = _steering_matrix(geometry, block_angles)
+        for part, x in zip(parts, vectors):
+            part.append(_project(block, x))
+    return [np.concatenate(part) for part in parts]
+
+
+def _diagonal_sums(r: np.ndarray) -> np.ndarray:
+    """t[d] = sum over k of H[k + d, k] for d = 0..M-1, H the Hermitian part of r."""
+    lower = np.array([np.trace(r, -d) for d in range(r.shape[0])])
+    upper = np.array([np.trace(r, d) for d in range(r.shape[0])])
+    return 0.5 * (lower + upper.conj())
 
 
 def beam_pattern(covariance, geometry: ArrayGeometry, angle_grid=None) -> BeamPattern:
     """Transmit power a(phi)^H R a(phi) over a grid of directions.
 
-    Rounding dust below zero is clamped; genuinely negative values raise,
-    since they mean the covariance is not PSD.
+    On a uniform linear array a(phi)^H R a(phi) = 2 Re(a(phi)^H t) - t[0],
+    where t[d] sums the d-th subdiagonal of R's Hermitian part, so the
+    pattern takes one steering projection instead of an N x M by M x M
+    product. Rounding dust below zero is clamped; genuinely negative values
+    raise, since they mean the covariance is not PSD.
     """
     angles = _pattern_angles(angle_grid)
     r = _as_covariance(covariance, geometry.num_antennas)
-    a = _steering_matrix(geometry, angles)
-    power = np.einsum("nm,nm->n", a.conj() @ r, a).real
+    t = _diagonal_sums(r)
+    (projection,) = _steering_projections(geometry, angles, t)
+    power = 2.0 * projection.real - t[0].real
     scale = max(1.0, float(np.abs(np.trace(r))))
     if power.min() < -_PSD_ATOL * scale:
         raise ValueError(

@@ -17,7 +17,6 @@ __all__ = [
     "InfeasibleRadarRequirement",
     "RadarSnrSpec",
     "Scenario",
-    "los_channel",
     "resolve_radar_spec",
     "steering_vector",
 ]
@@ -78,15 +77,6 @@ def steering_vector(geometry: ArrayGeometry, angle: float) -> np.ndarray:
     v = np.exp(-2j * math.pi * geometry.spacing_over_wavelength * math.sin(angle) * m)
     v.setflags(write=False)
     return v
-
-
-def los_channel(geometry: ArrayGeometry, user_angle: float) -> np.ndarray:
-    """Line-of-sight channel toward the user.
-
-    Same unit-amplitude phase progression as the steering vector, so a user
-    and a target at the same angle produce identical vectors.
-    """
-    return steering_vector(geometry, user_angle)
 
 
 @dataclass(frozen=True)
@@ -161,7 +151,7 @@ class Scenario:
         return cls(
             geometry,
             target_angle,
-            los_channel(geometry, _check_angle(user_angle, "user_angle")),
+            steering_vector(geometry, _check_angle(user_angle, "user_angle")),
             power_budget,
             target_amplitude,
         )

@@ -134,6 +134,7 @@ def _refine(amp0, phase0, step_amp, step_phase, amp_max, params, iters):
     best_amp, best_phase = amp0, phase0
     obj, t = _eval_window(np.array([amp0]), np.array([phase0]), params)
     best_obj, best_t = float(obj[0]), float(t[0])
+    previous = (best_amp, best_phase, best_obj, step_amp, step_phase)
     for _ in range(iters):
         amps = np.clip(
             np.linspace(best_amp - step_amp, best_amp + step_amp, _WINDOW), 0.0, amp_max
@@ -155,6 +156,12 @@ def _refine(amp0, phase0, step_amp, step_phase, amp_max, params, iters):
             step_amp *= 0.5
         if 0 < j < _WINDOW - 1:
             step_phase *= 0.5
+        # an iteration that changed nothing is a fixed point: every later
+        # one would evaluate the same window and change nothing either
+        state = (best_amp, best_phase, best_obj, step_amp, step_phase)
+        if state == previous:
+            break
+        previous = state
     return best_obj, best_amp, best_phase, best_t
 
 

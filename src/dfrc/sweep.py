@@ -3,22 +3,25 @@
 A sweep walks an ascending grid of SNR-loss values (dB, all <= 0), converts
 each to a target-power threshold, solves the closed form, and records the
 capacity and operating regime. Beam-pattern sweeps tabulate the transmit
-power versus direction for a handful of loss values. CSV output is
-deterministic: fixed header, 17-significant-digit floats, '.' decimal
-separator, LF line endings.
+power versus direction for a handful of loss values; the optimum is rank
+one, so each pattern comes from two steering projections, made a block of
+angles at a time. CSV output is deterministic: fixed header,
+17-significant-digit floats, '.' decimal separator, LF line endings.
+Tradeoff rows go through ``emit_csv``, which checks every field and quotes
+strings as the csv module does; beam-pattern rows hold only numbers, so
+their lines are joined directly, with the same bytes.
 """
 
 import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .closed_form import CaseTag, _case_and_received_power, solve_closed_form
-from .metrics import BeamPattern, _pattern_angles, _steering_matrix
+from .metrics import BeamPattern, _pattern_angles, _steering_projections
 from .model import RadarSnrSpec, Scenario, resolve_radar_spec
 
 __all__ = [
@@ -85,12 +88,6 @@ def tradeoff_sweep(scenario: Scenario, losses_db=None) -> list[TradeoffPoint]:
     return points
 
 
-def _project(steering: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # a(phi)^H x for every row a(phi)^T of ``steering``; einsum instead of a
-    # BLAS matvec, whose thread wake-up alone can cost milliseconds
-    return np.einsum("nm,m->n", steering, x.conj()).conj()
-
-
 def beampattern_sweep(scenario: Scenario, losses_db=None, angle_grid=None):
     """Beam pattern of the optimal covariance at each SNR loss.
 
@@ -98,16 +95,16 @@ def beampattern_sweep(scenario: Scenario, losses_db=None, angle_grid=None):
     0.25-degree grid unless ``angle_grid`` (radians) is given. The optimum is
     rank one, c = coeff_a * h + coeff_b * a_t, so each pattern is
     |coeff_a * a^H h + coeff_b * a^H a_t|^2 from two projections made once
-    per call; no covariance is formed.
+    per call, a block of angles at a time; no covariance is formed.
     """
     if losses_db is None:
         losses_db = DEFAULT_BEAMPATTERN_LOSSES_DB
     grid = _check_loss_grid(losses_db)
     angles = _pattern_angles(angle_grid).copy()
     angles.setflags(write=False)
-    steering = _steering_matrix(scenario.geometry, angles)
-    on_channel = _project(steering, scenario.channel)
-    on_target = _project(steering, scenario.target_steering)
+    on_channel, on_target = _steering_projections(
+        scenario.geometry, angles, scenario.channel, scenario.target_steering
+    )
     out = []
     for loss in grid.tolist():
         spec = resolve_radar_spec(RadarSnrSpec(snr_loss_db=loss), scenario)
@@ -124,18 +121,29 @@ def _format_float(value: float) -> str:
 
 
 # keyed on the exact type, so that bool (an int subclass) is rejected
-_FORMATTERS = {str: str, int: str, float: _format_float}
+_NUMBER_FORMATTERS = {int: str, float: _format_float}
+_FORMATTERS = {str: str, **_NUMBER_FORMATTERS}
 
 
-def _format_field(value) -> str:
+def _format_field(value, formatters=_FORMATTERS) -> str:
     # a numpy scalar is written as the Python value it holds; np.bool_ holds
     # a bool and is rejected with every other type
     native = value.item() if isinstance(value, np.generic) else value
     try:
-        formatter = _FORMATTERS[type(native)]
+        formatter = formatters[type(native)]
     except KeyError:
         raise TypeError(f"unsupported CSV field type: {value!r}") from None
     return formatter(native)
+
+
+def _write_text(text: str, destination) -> Path:
+    path = Path(destination)
+    try:
+        with open(path, "w", newline="", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"failed writing {path}: {exc}") from exc
+    return path
 
 
 def emit_csv(rows, header, destination) -> Path:
@@ -147,17 +155,11 @@ def emit_csv(rows, header, destination) -> Path:
     formatted in memory and written at once. I/O errors are re-raised with
     the path.
     """
-    path = Path(destination)
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([_format_field(v) for v in row] for row in rows)
-    try:
-        with open(path, "w", newline="", encoding="ascii") as fh:
-            fh.write(text.getvalue())
-    except OSError as exc:
-        raise OSError(f"failed writing {path}: {exc}") from exc
-    return path
+    return _write_text(text.getvalue(), destination)
 
 
 def write_tradeoff_csv(points, destination) -> Path:
@@ -169,15 +171,25 @@ def write_tradeoff_csv(points, destination) -> Path:
 
 
 def write_beampattern_csv(patterns, destination) -> Path:
-    """Emit (loss, pattern) pairs in long form: snr_loss_db,angle_deg,power."""
+    """Emit (loss, pattern) pairs in long form: snr_loss_db,angle_deg,power.
 
-    def rows():
-        angles = None
-        for loss, pattern in patterns:
-            # the patterns of one sweep share their angle grid: format it once
-            if pattern.angles is not angles:
-                angles = pattern.angles
-                degrees = [_format_float(math.degrees(a)) for a in angles.tolist()]
-            yield from zip(repeat(_format_field(loss)), degrees, pattern.power.tolist())
-
-    return emit_csv(rows(), BEAMPATTERN_HEADER, destination)
+    Every field is a number, so no field needs csv quoting: the lines are
+    joined directly and written at once, with the same bytes as
+    :func:`emit_csv` would give.
+    """
+    lines = [",".join(BEAMPATTERN_HEADER)]
+    angles = None
+    for loss, pattern in patterns:
+        # the patterns of one sweep share their angle grid: format it once
+        if pattern.angles is not angles:
+            angles = pattern.angles
+            degrees = [_format_float(math.degrees(a)) for a in angles.tolist()]
+        if pattern.power.dtype.kind != "f":
+            raise TypeError(f"pattern power must be floats, got {pattern.power.dtype}")
+        prefix = _format_field(loss, _NUMBER_FORMATTERS) + ","
+        lines.extend(
+            f"{prefix}{angle},{power:.17g}"
+            for angle, power in zip(degrees, pattern.power.tolist())
+        )
+    lines.append("")
+    return _write_text("\n".join(lines), destination)

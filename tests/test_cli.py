@@ -236,6 +236,25 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+    @pytest.mark.parametrize(
+        "sweep, key",
+        [
+            ({"loss_grid_db": [-2.0, False]}, "'sweep.loss_grid_db[1]'"),
+            ({"loss_grid_db": [None, -1.0]}, "'sweep.loss_grid_db[0]'"),
+            ({"user_angles_deg": [None]}, "'sweep.user_angles_deg[0]'"),
+            ({"user_angles_deg": [0.0, "north"]}, "'sweep.user_angles_deg[1]'"),
+        ],
+        ids=["bool-loss", "null-loss", "null-angle", "text-angle"],
+    )
+    def test_bad_list_entry_is_named(self, tmp_path, capsys, sweep, key):
+        path = write_config(tmp_path, {"sweep": sweep})
+        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be a number")
+        assert not (tmp_path / "out" / "tradeoff.csv").exists()
+
+
 class TestBeampatternCommand:
     def test_default_losses_csv(self, tmp_path):
         path = write_config(tmp_path)
@@ -258,6 +277,19 @@ class TestBeampatternCommand:
         path = write_config(tmp_path, {"sweep": {"beampattern_losses_db": []}})
         rc = main(["beampattern", "--config", str(path), "--out", str(tmp_path / "bp")])
         assert rc == EXIT_USAGE
+
+
+    @pytest.mark.parametrize(
+        "losses", [[-6.0, True], [None], ["-3"]], ids=["bool", "null", "text"]
+    )
+    def test_bad_loss_entry_is_named(self, tmp_path, capsys, losses):
+        path = write_config(tmp_path, {"sweep": {"beampattern_losses_db": losses}})
+        rc = main(["beampattern", "--config", str(path), "--out", str(tmp_path / "bp")])
+        assert rc == EXIT_USAGE
+        index = len(losses) - 1
+        assert capsys.readouterr().err.startswith(
+            f"error: 'sweep.beampattern_losses_db[{index}]' must be a number"
+        )
 
 
 class TestVerifyCommand:
@@ -322,6 +354,19 @@ class TestVerifyCommand:
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert json.loads(proc.stdout)["passed"] is True
+
+
+class TestQuietProcess:
+    def test_solve_leaves_stderr_empty(self, tmp_path):
+        path = write_config(tmp_path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "dfrc", "solve", "--config", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("case: active\n")
 
 
 class TestVerifyFailurePath:

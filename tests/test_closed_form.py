@@ -11,7 +11,6 @@ from dfrc import (
     Scenario,
     assemble_covariance,
     capacity_closed_form,
-    capacity_closed_form_nats,
     capacity_from_covariance,
     channel_power,
     classify_case,
@@ -114,11 +113,6 @@ class TestCapacity:
         inactive = math.log2(1.0 + sc.power_budget * sc.channel_norm_sq)
         # at the case boundary the binding formula must agree with the slack one
         assert capacity_closed_form(sc, g1) == pytest.approx(inactive, abs=1e-9)
-
-    def test_nats_conversion(self, reference_scenario):
-        bits = capacity_closed_form(reference_scenario, 5.0)
-        nats = capacity_closed_form_nats(reference_scenario, 5.0)
-        assert nats == pytest.approx(bits * math.log(2.0), rel=1e-14)
 
     def test_infeasible_raises(self, reference_scenario):
         with pytest.raises(InfeasibleRadarRequirement) as err:

@@ -10,11 +10,16 @@ from dfrc import (
     capacity_from_covariance,
     channel_power,
     radar_snr,
-    receive_beamformer,
     solve_closed_form,
     steering_vector,
 )
-from dfrc.metrics import default_angle_grid
+from dfrc import metrics
+from dfrc.metrics import (
+    _project,
+    _steering_matrix,
+    _steering_projections,
+    default_angle_grid,
+)
 
 
 def random_psd(rng, m, trace):
@@ -61,7 +66,7 @@ class TestRadarSnr:
     def test_default_weights_equal_explicit_matched(self, reference_scenario):
         sc = reference_scenario
         sol = solve_closed_form(sc, 3.0)
-        w = receive_beamformer(sc)
+        w = sc.target_steering / np.linalg.norm(sc.target_steering)
         assert np.vdot(w, w).real == pytest.approx(1.0, rel=1e-14)
         assert radar_snr(sol.covariance, sc, w) == pytest.approx(
             radar_snr(sol.covariance, sc), rel=1e-12
@@ -142,3 +147,96 @@ class TestBeamPattern:
             beam_pattern(sol.covariance, geom, np.array([]))
         with pytest.raises(ValueError):
             beam_pattern(sol.covariance, geom, np.array([2.0]))
+
+
+def _exp_steering(geometry, angles):
+    # the steering matrix as a complex exponential, the reference construction
+    phase = -2.0 * math.pi * geometry.spacing_over_wavelength
+    return np.exp(1j * phase * np.outer(np.sin(angles), np.arange(geometry.num_antennas)))
+
+
+def _bits(z):
+    return np.ascontiguousarray(z).view(np.uint64)
+
+
+class TestSteeringMatrix:
+    @pytest.mark.parametrize("spacing", [0.25, 0.5, 0.7])
+    @pytest.mark.parametrize("m", [1, 2, 8, 64, 512, 2048])
+    def test_bitwise_equal_to_complex_exponential(self, m, spacing):
+        geometry = ArrayGeometry(m, spacing)
+        angles = np.concatenate(
+            [default_angle_grid(), np.random.default_rng(m).uniform(-1.5, 1.5, 97)]
+        )
+        got = _steering_matrix(geometry, angles)
+        assert got.dtype == np.complex128
+        assert np.array_equal(_bits(got), _bits(_exp_steering(geometry, angles)))
+
+
+def _random_vector(rng, m):
+    return rng.standard_normal(m) + 1j * rng.standard_normal(m)
+
+
+class TestBlockedProjections:
+    BUDGET = metrics._PROJECTION_BLOCK_ENTRIES
+
+    @pytest.mark.parametrize(
+        "m, num_angles",
+        [
+            (8, 721),  # one block
+            (64, 721),  # two blocks
+            (512, 721),  # 22 blocks; 721 is not a multiple of 32
+            (2048, 300),
+            (512, 1),
+            (3, 1),
+            (BUDGET + 3, 5),  # more antennas than the budget: 2 + 3 rows
+            (BUDGET + 3, 1),
+        ],
+    )
+    def test_bitwise_equal_to_one_unblocked_projection(self, m, num_angles):
+        geometry = ArrayGeometry(m, 0.5)
+        rng = np.random.default_rng([m, num_angles])
+        angles = rng.uniform(-math.pi / 2, math.pi / 2, num_angles)
+        vectors = [_random_vector(rng, m), _random_vector(rng, m)]
+        steering = _steering_matrix(geometry, angles)
+        got = _steering_projections(geometry, angles, *vectors)
+        assert len(got) == 2
+        for result, x in zip(got, vectors):
+            assert np.array_equal(_bits(result), _bits(_project(steering, x)))
+
+
+def _quadratic_form_pattern(covariance, geometry):
+    # a^H R a row by row over the default grid, clamped as beam_pattern does
+    a = _exp_steering(geometry, default_angle_grid())
+    return np.maximum(np.einsum("nm,nm->n", a.conj() @ covariance, a).real, 0.0)
+
+
+class TestBeamPatternRounding:
+    @pytest.mark.parametrize("kind", ["los", "rayleigh", "full_rank"])
+    @pytest.mark.parametrize("m", [1, 8, 64, 512])
+    def test_within_rounding_of_quadratic_form(self, m, kind):
+        rng = np.random.default_rng([m, len(kind)])
+        geometry = ArrayGeometry(m, 0.5)
+        target = float(rng.uniform(-1.0, 1.0))
+        if kind == "los":
+            sc = Scenario.with_los_user(geometry, target, float(rng.uniform(-1.5, 1.5)), 2.0)
+        else:
+            sc = Scenario(geometry, target, _random_vector(rng, m) / math.sqrt(2.0), 2.0)
+        if kind == "full_rank":
+            x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            covariance = x @ x.conj().T / m
+        else:
+            covariance = solve_closed_form(sc, 0.5 * sc.max_target_power).covariance
+        expect = _quadratic_form_pattern(covariance, geometry)
+        got = beam_pattern(covariance, geometry).power
+        assert np.max(np.abs(got - expect)) <= 1e-12 * expect.max()
+
+    def test_non_hermitian_input_uses_hermitian_part(self):
+        # Re(a^H R a) only sees (R + R^H) / 2, as the quadratic form does
+        geometry = ArrayGeometry(6, 0.5)
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        hermitian = x @ x.conj().T
+        skew = 0.3 * (x - x.conj().T)
+        got = beam_pattern(hermitian + skew, geometry).power
+        expect = _quadratic_form_pattern(hermitian + skew, geometry)
+        assert np.max(np.abs(got - expect)) <= 1e-12 * expect.max()

@@ -7,7 +7,6 @@ from dfrc import (
     ArrayGeometry,
     RadarSnrSpec,
     Scenario,
-    los_channel,
     resolve_radar_spec,
     steering_vector,
 )
@@ -72,17 +71,6 @@ class TestSteeringVector:
         v = steering_vector(ArrayGeometry(4, 0.5), 0.3)
         with pytest.raises(ValueError):
             v[0] = 0.0
-
-
-class TestLosChannel:
-    def test_matches_steering_construction(self):
-        geom = ArrayGeometry(8, 0.5)
-        assert np.array_equal(los_channel(geom, 0.2), steering_vector(geom, 0.2))
-
-    def test_same_angle_same_vector(self):
-        geom = ArrayGeometry(8, 0.5)
-        angle = math.radians(-30.0)
-        assert np.array_equal(los_channel(geom, angle), steering_vector(geom, angle))
 
 
 class TestScenario:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dfrc import oracle
 from dfrc import (
     ArrayGeometry,
     InfeasibleRadarRequirement,
@@ -223,3 +224,71 @@ class TestRandomFalsifier:
             random_falsifier(reference_scenario, -1.0, trials=10)
         with pytest.raises(ValueError):
             random_falsifier(reference_scenario, 1.0, trials=0)
+
+
+def _refine_all_iterations(amp0, phase0, step_amp, step_phase, amp_max, params, iters):
+    # the refine loop without its fixed-point exit: always ``iters`` rounds
+    window = oracle._WINDOW
+    best_amp, best_phase = amp0, phase0
+    obj, t = oracle._eval_window(np.array([amp0]), np.array([phase0]), params)
+    best_obj, best_t = float(obj[0]), float(t[0])
+    for _ in range(iters):
+        amps = np.clip(
+            np.linspace(best_amp - step_amp, best_amp + step_amp, window), 0.0, amp_max
+        )
+        phases = np.linspace(best_phase - step_phase, best_phase + step_phase, window)
+        obj, t = oracle._eval_window(amps[:, None], phases[None, :], params)
+        k = int(np.argmax(obj))
+        i, j = divmod(k, window)
+        if float(obj[i, j]) > best_obj:
+            best_obj = float(obj[i, j])
+            best_t = float(t[i, j])
+            best_amp = float(amps[i])
+            best_phase = float(phases[j])
+        if 0 < i < window - 1:
+            step_amp *= 0.5
+        if 0 < j < window - 1:
+            step_phase *= 0.5
+    return best_obj, best_amp, best_phase, best_t
+
+
+def _refine_corpus():
+    rng = np.random.default_rng(2024)
+    for index in range(40):
+        m = int(rng.integers(2, 17))
+        geometry = ArrayGeometry(m, 0.5)
+        target = float(rng.uniform(-math.pi / 3, math.pi / 3))
+        power = float(10.0 ** rng.uniform(-1.0, 1.0))
+        if index % 2:
+            channel = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2.0)
+            sc = Scenario(geometry, target, channel, power)
+        else:
+            user = float(rng.uniform(-math.pi / 2, math.pi / 2))
+            sc = Scenario.with_los_user(geometry, target, user, power)
+        for fraction in (0.0, 0.3, 0.7, 1.0):
+            yield sc, fraction * sc.max_target_power
+
+
+class TestRefineFixedPoint:
+    def test_same_solution_as_all_iterations(self, monkeypatch):
+        calls = {"now": 0, "before": 0}
+        evaluate = oracle._eval_window
+
+        def counted(key):
+            def wrapper(*args):
+                calls[key] += 1
+                return evaluate(*args)
+
+            return wrapper
+
+        for sc, gamma in _refine_corpus():
+            monkeypatch.setattr(oracle, "_eval_window", counted("now"))
+            now = grid_search_oracle(sc, gamma, resolution=129)
+            monkeypatch.setattr(oracle, "_eval_window", counted("before"))
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_refine", _refine_all_iterations)
+                before = grid_search_oracle(sc, gamma, resolution=129)
+            assert now == before
+        # 160 oracle calls: one initial point plus 40 windows each before
+        assert calls["before"] == 160 * (1 + oracle.DEFAULT_REFINE_ITERS)
+        assert calls["now"] < calls["before"]

@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import re
 
@@ -7,6 +8,7 @@ import pytest
 
 from dfrc import (
     ArrayGeometry,
+    BeamPattern,
     CaseTag,
     RadarSnrSpec,
     Scenario,
@@ -246,3 +248,52 @@ class TestCsvEmission:
         target = tmp_path / "no" / "such" / "dir" / "t.csv"
         with pytest.raises(OSError, match="t.csv"):
             write_tradeoff_csv(points, target)
+
+
+def _reference_beampattern_csv(patterns) -> bytes:
+    # every field through csv.writer, floats as 17 significant digits
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(("snr_loss_db", "angle_deg", "power"))
+    for loss, pattern in patterns:
+        for angle, power in zip(pattern.angles.tolist(), pattern.power.tolist()):
+            writer.writerow(
+                [format(v, ".17g") for v in (loss, math.degrees(angle), power)]
+            )
+    return text.getvalue().encode("ascii")
+
+
+class TestBeampatternCsvBytes:
+    @pytest.mark.parametrize("m, kind", [(8, "los"), (64, "rayleigh"), (512, "los")])
+    def test_default_grid_matches_csv_writer(self, tmp_path, m, kind):
+        patterns = beampattern_sweep(_random_scenario(m, kind))
+        path = write_beampattern_csv(patterns, tmp_path / "b.csv")
+        assert path.read_bytes() == _reference_beampattern_csv(patterns)
+
+    def test_custom_grid_matches_csv_writer(self, reference_scenario, tmp_path):
+        grid = np.linspace(-math.pi / 2, math.pi / 2, 1001)
+        patterns = beampattern_sweep(reference_scenario, [-17.5, -3, 0], angle_grid=grid)
+        path = write_beampattern_csv(patterns, tmp_path / "b.csv")
+        assert path.read_bytes() == _reference_beampattern_csv(patterns)
+
+    @pytest.mark.parametrize("loss", [True, np.bool_(False), "-5", None, 1j])
+    def test_non_number_loss_rejected(self, reference_scenario, tmp_path, loss):
+        ((_, pattern),) = beampattern_sweep(reference_scenario, [-5.0])
+        with pytest.raises(TypeError):
+            write_beampattern_csv([(loss, pattern)], tmp_path / "b.csv")
+
+    def test_numpy_loss_writes_like_python_value(self, reference_scenario, tmp_path):
+        ((_, pattern),) = beampattern_sweep(reference_scenario, [-5.0])
+        a = write_beampattern_csv([(-5.0, pattern)], tmp_path / "a.csv").read_bytes()
+        b = write_beampattern_csv([(np.float64(-5.0), pattern)], tmp_path / "b.csv")
+        assert b.read_bytes() == a
+
+    def test_non_float_power_rejected(self, tmp_path):
+        pattern = BeamPattern(angles=np.zeros(2), power=np.array([True, False]))
+        with pytest.raises(TypeError):
+            write_beampattern_csv([(-5.0, pattern)], tmp_path / "b.csv")
+
+    def test_io_error_carries_path(self, reference_scenario, tmp_path):
+        patterns = beampattern_sweep(reference_scenario, [-5.0])
+        with pytest.raises(OSError, match="b.csv"):
+            write_beampattern_csv(patterns, tmp_path / "missing" / "b.csv")
