@@ -17,7 +17,6 @@ from .closed_form import (
     optimal_received_power,
     solve_closed_form,
 )
-from .kernels import NUMBA_ENABLED
 from .metrics import (
     BeamPattern,
     beam_pattern,
@@ -63,7 +62,6 @@ __all__ = [
     "FalsifierResult",
     "InfeasibleRadarRequirement",
     "KktCertificate",
-    "NUMBA_ENABLED",
     "OracleResolutionError",
     "OracleSolution",
     "RadarSnrSpec",

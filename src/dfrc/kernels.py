@@ -1,11 +1,9 @@
 """Hot numeric kernels: subspace grid scan and random-beam falsifier.
 
-Each kernel has a numba fast path and a pure-numpy fallback with identical
-arithmetic; set DFRC_DISABLE_NUMBA=1 to force the numpy path (the module
-also falls back, silently, when numba is not importable; NUMBA_ENABLED says
-which path runs). The falsifier
-draws from a counter-based generator (splitmix64 finalizer), so both paths
-produce bit-identical streams and trials are independent of chunking.
+One numpy implementation per job. The falsifier draws from a counter-based
+generator (splitmix64 finalizer keyed by seed and trial index), so each
+trial's draws, and so the result, do not depend on how trials are chunked
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
 
 The 2-D search coordinates are (amp, phase): the candidate beam is
 c = amp * exp(1j*phase) * h + t * a_t with t >= 0 real, and t is eliminated
@@ -16,39 +14,9 @@ only be met at the very top of its range) is anchored analytically via the
 ``amp0_feasible`` flag to keep float dust from flipping it.
 """
 
-import os
-
 import numpy as np
 
-__all__ = [
-    "NUMBA_ENABLED",
-    "eval_candidates",
-    "falsifier_scan",
-    "falsifier_scan_numba",
-    "falsifier_scan_numpy",
-    "grid_scan",
-    "grid_scan_numba",
-    "grid_scan_numpy",
-]
-
-
-def _numba_disabled_by_env() -> bool:
-    return os.environ.get("DFRC_DISABLE_NUMBA", "").strip().lower() in {
-        "1",
-        "true",
-        "yes",
-        "on",
-    }
-
-
-NUMBA_ENABLED = False
-if not _numba_disabled_by_env():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is the optional ``jit`` extra
-        pass
+__all__ = ["eval_candidates", "falsifier_scan", "grid_scan"]
 
 TWO_PI = 2.0 * np.pi
 
@@ -61,6 +29,13 @@ _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 _INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
+
+# grid rows per block: bounds the scan's memory at large resolutions
+_GRID_CHUNK = 256
+# the falsifier's default chunk holds about this many antenna draws, and at
+# most _MAX_TRIAL_CHUNK trials (reached at M <= 16)
+_CHUNK_DRAWS = 1 << 18
+_MAX_TRIAL_CHUNK = 16384
 
 
 def _mix64(z):
@@ -106,7 +81,7 @@ def eval_candidates(
     return np.where(feasible, obj, -np.inf), t
 
 
-def grid_scan_numpy(
+def grid_scan(
     amps,
     phases,
     cross_arg: float,
@@ -116,7 +91,6 @@ def grid_scan_numpy(
     st_norm_sq: float,
     cross_abs: float,
     amp0_feasible: bool,
-    chunk: int = 256,
 ):
     """Best feasible grid point; returns (objective, amp index, phase index).
 
@@ -128,8 +102,8 @@ def grid_scan_numpy(
     best = -np.inf
     bi = bj = -1
     n_phase = phases.size
-    for start in range(0, amps.size, chunk):
-        block = amps[start : start + chunk, None]
+    for start in range(0, amps.size, _GRID_CHUNK):
+        block = amps[start : start + _GRID_CHUNK, None]
         obj, _ = eval_candidates(
             block,
             cos_psi[None, :],
@@ -150,25 +124,29 @@ def grid_scan_numpy(
     return best, bi, bj
 
 
-def falsifier_scan_numpy(
+def falsifier_scan(
     seed: int,
     trials: int,
     channel,
     steering,
     power: float,
     gamma: float,
-    chunk: int = 16384,
+    chunk: int | None = None,
 ):
     """Best feasible random rank-one beam; (objective, trial index, count).
 
     Trial i draws a standard complex Gaussian vector from the counter stream
     keyed by (seed, i), scales it onto the power sphere, and keeps it only if
     the target-direction power meets ``gamma`` (strict float compare).
-    Returns (-inf, -1, 0) when nothing is feasible.
+    Returns (-inf, -1, 0) when nothing is feasible. Trials are processed
+    ``chunk`` at a time (by default about 2**18 antenna draws, at most 16,384
+    trials), which bounds memory and leaves the result unchanged.
     """
     h = np.asarray(channel, dtype=np.complex128)
     at = np.asarray(steering, dtype=np.complex128)
     m = h.size
+    if chunk is None:
+        chunk = max(1, min(_MAX_TRIAL_CHUNK, _CHUNK_DRAWS // m))
     hr, hi = np.ascontiguousarray(h.real), np.ascontiguousarray(h.imag)
     ar, ai = np.ascontiguousarray(at.real), np.ascontiguousarray(at.imag)
     best = -np.inf
@@ -187,8 +165,9 @@ def falsifier_scan_numpy(
             angle = TWO_PI * u[:, 1::2]
             re = radius * np.cos(angle)
             im = radius * np.sin(angle)
-            # accumulate antenna by antenna, in the numba loop's exact
-            # rounding order, so both paths return bit-identical results
+            # accumulate antenna by antenna: each trial's sums then have one
+            # fixed rounding order whatever the chunk size (an einsum or BLAS
+            # reduction may reorder them with the row count)
             norm_sq = np.zeros(n)
             dh_re = np.zeros(n)
             dh_im = np.zeros(n)
@@ -213,147 +192,3 @@ def falsifier_scan_numpy(
                 best = val
                 best_trial = start + k
     return best, best_trial, feasible
-
-
-if NUMBA_ENABLED:
-    _mix64_nb = njit(cache=True, inline="always")(_mix64)
-
-    @njit(cache=True)
-    def _grid_scan_jit(
-        amps, cos_psi, sin_psi, power, gamma, ch_norm_sq, st_norm_sq, cross_abs, amp0_feasible
-    ):
-        best = -np.inf
-        bi = -1
-        bj = -1
-        for i in range(amps.size):
-            amp = amps[i]
-            resid = power - amp * amp * ch_norm_sq
-            for j in range(cos_psi.size):
-                b_half = amp * cross_abs * cos_psi[j]
-                disc = b_half * b_half + st_norm_sq * resid
-                if disc < 0.0:
-                    continue
-                t = (np.sqrt(disc) - b_half) / st_norm_sq
-                if t < 0.0:
-                    t = 0.0
-                if amp == 0.0:
-                    ok = amp0_feasible
-                else:
-                    radar = (amp * cross_abs * cos_psi[j] + t * st_norm_sq) ** 2 + (
-                        amp * cross_abs * sin_psi[j]
-                    ) ** 2
-                    ok = radar >= gamma
-                if ok:
-                    obj = (amp * ch_norm_sq + t * cross_abs * cos_psi[j]) ** 2 + (
-                        t * cross_abs * sin_psi[j]
-                    ) ** 2
-                    if obj > best:
-                        best = obj
-                        bi = i
-                        bj = j
-        return best, bi, bj
-
-    @njit(cache=True)
-    def _falsifier_jit(seed, trials, hr, hi, ar, ai, power, gamma):
-        m = hr.size
-        best = -np.inf
-        best_trial = -1
-        feasible = 0
-        s0 = _mix64_nb(seed + _GOLDEN)
-        for i in range(trials):
-            base = _mix64_nb(s0 + np.uint64(i + 1) * _GOLDEN)
-            norm_sq = 0.0
-            dh_re = 0.0
-            dh_im = 0.0
-            da_re = 0.0
-            da_im = 0.0
-            for p in range(m):
-                v0 = _mix64_nb(base + np.uint64(2 * p + 1) * _GOLDEN)
-                v1 = _mix64_nb(base + np.uint64(2 * p + 2) * _GOLDEN)
-                u0 = (np.float64(v0 >> _S11) + 1.0) * _INV_2_53
-                u1 = (np.float64(v1 >> _S11) + 1.0) * _INV_2_53
-                radius = np.sqrt(-2.0 * np.log(u0))
-                angle = TWO_PI * u1
-                re = radius * np.cos(angle)
-                im = radius * np.sin(angle)
-                norm_sq += re * re + im * im
-                dh_re += re * hr[p] + im * hi[p]
-                dh_im += re * hi[p] - im * hr[p]
-                da_re += re * ar[p] + im * ai[p]
-                da_im += re * ai[p] - im * ar[p]
-            scale = power / norm_sq
-            tgt = (da_re * da_re + da_im * da_im) * scale
-            if tgt >= gamma:
-                feasible += 1
-                obj = (dh_re * dh_re + dh_im * dh_im) * scale
-                if obj > best:
-                    best = obj
-                    best_trial = i
-        return best, best_trial, feasible
-
-
-def grid_scan_numba(
-    amps,
-    phases,
-    cross_arg: float,
-    power: float,
-    gamma: float,
-    ch_norm_sq: float,
-    st_norm_sq: float,
-    cross_abs: float,
-    amp0_feasible: bool,
-):
-    """Numba implementation of :func:`grid_scan_numpy`; raises if unavailable."""
-    if not NUMBA_ENABLED:
-        raise RuntimeError("numba path is disabled or unavailable")
-    cos_psi = np.cos(phases - cross_arg)
-    sin_psi = np.sin(phases - cross_arg)
-    best, bi, bj = _grid_scan_jit(
-        np.ascontiguousarray(amps, dtype=np.float64),
-        np.ascontiguousarray(cos_psi),
-        np.ascontiguousarray(sin_psi),
-        float(power),
-        float(gamma),
-        float(ch_norm_sq),
-        float(st_norm_sq),
-        float(cross_abs),
-        bool(amp0_feasible),
-    )
-    return float(best), int(bi), int(bj)
-
-
-def falsifier_scan_numba(
-    seed: int, trials: int, channel, steering, power: float, gamma: float
-):
-    """Numba implementation of :func:`falsifier_scan_numpy`; raises if unavailable."""
-    if not NUMBA_ENABLED:
-        raise RuntimeError("numba path is disabled or unavailable")
-    h = np.asarray(channel, dtype=np.complex128)
-    at = np.asarray(steering, dtype=np.complex128)
-    best, best_trial, feasible = _falsifier_jit(
-        np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF),
-        int(trials),
-        np.ascontiguousarray(h.real),
-        np.ascontiguousarray(h.imag),
-        np.ascontiguousarray(at.real),
-        np.ascontiguousarray(at.imag),
-        float(power),
-        float(gamma),
-    )
-    return float(best), int(best_trial), int(feasible)
-
-
-def grid_scan(amps, phases, cross_arg, power, gamma, ch_norm_sq, st_norm_sq, cross_abs, amp0_feasible):
-    """Dispatch to the numba scan when enabled, else the numpy scan."""
-    args = (amps, phases, cross_arg, power, gamma, ch_norm_sq, st_norm_sq, cross_abs, amp0_feasible)
-    if NUMBA_ENABLED:
-        return grid_scan_numba(*args)
-    return grid_scan_numpy(*args)
-
-
-def falsifier_scan(seed, trials, channel, steering, power, gamma):
-    """Dispatch to the numba falsifier when enabled, else the numpy one."""
-    args = (seed, trials, channel, steering, power, gamma)
-    if NUMBA_ENABLED:
-        return falsifier_scan_numba(*args)
-    return falsifier_scan_numpy(*args)

@@ -123,7 +123,19 @@ class Scenario:
         if not np.all(np.isfinite(ch.real)) or not np.all(np.isfinite(ch.imag)):
             raise ValueError("channel entries must be finite")
         hh = float(np.vdot(ch, ch).real)
+        # the entries are finite, so inf or nan (inf - inf inside the complex
+        # dot product) can only come from overflow
+        if not math.isfinite(hh):
+            raise ValueError(
+                "channel norm overflows float64 (squared norm is not finite); "
+                "rescale the channel"
+            )
         if not hh > 0.0:
+            if np.any(ch != 0):
+                raise ValueError(
+                    "channel norm underflows float64 (squared norm is 0 but "
+                    "some entries are nonzero); rescale the channel"
+                )
             raise ValueError("channel must be nonzero")
         p = _positive_finite(self.power_budget, "power_budget")
         amp = _positive_finite(self.target_amplitude, "target_amplitude")

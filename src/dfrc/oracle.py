@@ -305,8 +305,7 @@ def random_falsifier(
 
     Draws ``trials`` isotropic complex Gaussian beams scaled exactly onto the
     power budget, discards those below the target-power threshold, and
-    returns the best surviving received power. Deterministic in ``seed`` and
-    identical on the numba and numpy paths.
+    returns the best surviving received power. Deterministic in ``seed``.
     """
     gamma = float(gamma)
     if not gamma >= 0.0:

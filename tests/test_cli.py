@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import dfrc
 from dfrc.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -28,6 +31,13 @@ REFERENCE = {
     },
     "radar": {"gamma": 5.0},
 }
+
+
+def child_env():
+    """Environment in which a child ``python -m dfrc`` imports this dfrc."""
+    src = str(Path(dfrc.__file__).resolve().parents[1])
+    rest = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + rest if rest else ""))
 
 
 def write_config(tmp_path, overrides=None, name="config.yaml"):
@@ -143,6 +153,22 @@ class TestSolveCommand:
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: invalid scenario") and field in err
+
+    @pytest.mark.parametrize(
+        "entry, message", [(1e200, "overflows float64"), (1e-170, "underflows")]
+    )
+    def test_channel_norm_out_of_range_is_usage_error(
+        self, tmp_path, capsys, entry, message
+    ):
+        cfg = json.loads(json.dumps(REFERENCE))
+        del cfg["scenario"]["user_angle_deg"]
+        cfg["scenario"].update(num_antennas=2, channel=[[entry, 0.0], [0.0, entry]])
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        rc = main(["solve", "--config", str(path)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid scenario: ") and message in err
 
     def test_infeasible_exit_code_and_message(self, tmp_path, capsys):
         path = write_config(tmp_path, {"radar": {"gamma": 11.0}})
@@ -351,6 +377,7 @@ class TestVerifyCommand:
             [sys.executable, "-m", "dfrc", "verify", "--config", str(path)],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert json.loads(proc.stdout)["passed"] is True
@@ -363,6 +390,7 @@ class TestQuietProcess:
             [sys.executable, "-m", "dfrc", "solve", "--config", str(path)],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == EXIT_OK
         assert proc.stderr == ""

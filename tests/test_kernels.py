@@ -1,31 +1,10 @@
 import math
-import os
-import subprocess
-import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dfrc import kernels
-
-
-def scan_args(scenario, gamma, n=97):
-    g = scenario.cross_gain
-    amps = np.linspace(
-        0.0, math.sqrt(scenario.power_budget / scenario.channel_norm_sq), n
-    )
-    phases = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    return (
-        amps,
-        phases,
-        float(np.angle(g)) if g != 0 else 0.0,
-        scenario.power_budget,
-        float(gamma),
-        scenario.channel_norm_sq,
-        scenario.steering_norm_sq,
-        abs(g),
-        gamma <= scenario.max_target_power * (1.0 + 1e-12),
-    )
 
 
 class TestEvalCandidates:
@@ -97,47 +76,6 @@ class TestEvalCandidates:
         assert np.isfinite(obj[1])  # anchored pure-steering candidate
 
 
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba path unavailable")
-class TestPathParity:
-    def test_grid_scan_identical(self, reference_scenario, make_random_scenario):
-        rng = np.random.default_rng(9)
-        cases = [(reference_scenario, 5.0), (reference_scenario, 9.99)]
-        for _ in range(6):
-            sc = make_random_scenario(rng, m_lo=2, m_hi=12)
-            cases.append((sc, float(rng.uniform(0.0, sc.max_target_power))))
-        for sc, gamma in cases:
-            args = scan_args(sc, gamma)
-            res_np = kernels.grid_scan_numpy(*args)
-            res_nb = kernels.grid_scan_numba(*args)
-            assert res_np[1:] == res_nb[1:]
-            assert res_np[0] == pytest.approx(res_nb[0], rel=1e-13, abs=1e-300)
-
-    def test_falsifier_bitwise_identical(self, reference_scenario, make_random_scenario):
-        rng = np.random.default_rng(10)
-        cases = [(reference_scenario, 4.0, 3)]
-        for _ in range(4):
-            sc = make_random_scenario(rng, m_lo=2, m_hi=9)
-            cases.append((sc, float(rng.uniform(0.0, sc.max_target_power)), int(rng.integers(0, 100))))
-        for sc, gamma, seed in cases:
-            a = kernels.falsifier_scan_numpy(
-                seed, 20000, sc.channel, sc.target_steering, sc.power_budget, gamma
-            )
-            b = kernels.falsifier_scan_numba(
-                seed, 20000, sc.channel, sc.target_steering, sc.power_budget, gamma
-            )
-            assert a == b  # bit-identical stream, same reduction order
-
-    def test_falsifier_chunk_independent(self, reference_scenario):
-        sc = reference_scenario
-        a = kernels.falsifier_scan_numpy(
-            5, 7777, sc.channel, sc.target_steering, 1.0, 2.0, chunk=64
-        )
-        b = kernels.falsifier_scan_numpy(
-            5, 7777, sc.channel, sc.target_steering, 1.0, 2.0, chunk=5000
-        )
-        assert a == b
-
-
 class TestFalsifierStream:
     def test_deterministic_in_seed(self, reference_scenario):
         sc = reference_scenario
@@ -150,14 +88,52 @@ class TestFalsifierStream:
     def test_trial_prefix_property(self, reference_scenario):
         # counter-based: the first N trials of a longer run are the same draws
         sc = reference_scenario
-        short = kernels.falsifier_scan_numpy(
+        short = kernels.falsifier_scan(
             8, 3000, sc.channel, sc.target_steering, 1.0, 0.0
         )
-        long = kernels.falsifier_scan_numpy(
+        long = kernels.falsifier_scan(
             8, 6000, sc.channel, sc.target_steering, 1.0, 0.0
         )
         assert long[0] >= short[0]
         assert long[2] >= short[2]
+
+    # 1025 = 4 * 256 + 1 leaves a one-trial tail chunk
+    @pytest.mark.parametrize("trials, chunk", [(7777, 64), (1025, 256)])
+    def test_falsifier_chunk_independent(self, reference_scenario, trials, chunk):
+        sc = reference_scenario
+        whole = kernels.falsifier_scan(
+            5, trials, sc.channel, sc.target_steering, 1.0, 2.0
+        )
+        chunked = kernels.falsifier_scan(
+            5, trials, sc.channel, sc.target_steering, 1.0, 2.0, chunk=chunk
+        )
+        assert whole == chunked
+
+    def test_default_chunk_beyond_16_antennas(self, make_random_scenario):
+        rng = np.random.default_rng(21)
+        for m in (17, 100, 700):
+            sc = make_random_scenario(rng, m_lo=m, m_hi=m)
+            gamma = float(rng.uniform(0.0, 2.0 * sc.power_budget))
+            default = kernels.falsifier_scan(
+                4, 1500, sc.channel, sc.target_steering, sc.power_budget, gamma
+            )
+            small = kernels.falsifier_scan(
+                4, 1500, sc.channel, sc.target_steering, sc.power_budget, gamma, chunk=97
+            )
+            assert default == small
+            assert default[2] > 0
+
+    def test_memory_bounded_at_256_antennas(self, make_random_scenario):
+        sc = make_random_scenario(np.random.default_rng(3), m_lo=256, m_hi=256)
+        tracemalloc.start()
+        try:
+            kernels.falsifier_scan(
+                1, 4096, sc.channel, sc.target_steering, sc.power_budget, 0.0
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_gamma_zero_all_feasible(self, reference_scenario):
         sc = reference_scenario
@@ -177,37 +153,3 @@ class TestFalsifierStream:
         assert feasible == 0
         assert best == -math.inf
         assert best_trial == -1
-
-
-class TestEnvFlag:
-    def test_disable_env_forces_numpy_path(self):
-        code = (
-            "import dfrc.kernels as k; print(k.NUMBA_ENABLED)"
-        )
-        env = dict(os.environ, DFRC_DISABLE_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
-
-    def test_dispatch_uses_numpy_when_disabled(self, reference_scenario):
-        sc = reference_scenario
-        code = f"""
-import numpy as np
-import dfrc
-from dfrc import kernels
-import math
-sc = dfrc.Scenario.with_los_user(dfrc.ArrayGeometry(10, 0.5), math.radians(-30.0), 0.0, 1.0)
-res = kernels.falsifier_scan(3, 5000, sc.channel, sc.target_steering, 1.0, 1.0)
-print(repr(res))
-"""
-        env = dict(os.environ, DFRC_DISABLE_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        expected = kernels.falsifier_scan(
-            3, 5000, sc.channel, sc.target_steering, 1.0, 1.0
-        )
-        assert out.stdout.strip() == repr(expected)

@@ -127,6 +127,27 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(geom, 0.0, bad, 1.0)
 
+    @pytest.mark.parametrize(
+        "scale, message",
+        [
+            (1e200, "overflows float64"),
+            (1e-170, "underflows.*rescale"),
+            (0.0, "channel must be nonzero"),
+        ],
+    )
+    def test_channel_norm_out_of_float64_range(self, scale, message):
+        ch = scale * np.array([1.0 + 1.0j, -0.5, 0.25j, 2.0])
+        with pytest.raises(ValueError, match=message):
+            Scenario(ArrayGeometry(4, 0.5), 0.0, ch, 1.0)
+
+    def test_channel_norm_sq_bits_for_normal_inputs(self):
+        rng = np.random.default_rng(17)
+        for m in (1, 4, 64, 1000):
+            for scale in (1e-150, 1e-3, 1.0, 1e4, 1e150):
+                ch = scale * (rng.normal(size=m) + 1j * rng.normal(size=m))
+                sc = Scenario(ArrayGeometry(m, 0.5), 0.0, ch, 1.0)
+                assert sc.channel_norm_sq == float(np.vdot(ch, ch).real)
+
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     @pytest.mark.parametrize("field", ["power_budget", "target_amplitude"])
