@@ -1,9 +1,13 @@
 """Hot numeric kernels: subspace grid scan and random-beam falsifier.
 
-One numpy implementation per job. The falsifier draws from a counter-based
-generator (splitmix64 finalizer keyed by seed and trial index), so each
-trial's draws, and so the result, do not depend on how trials are chunked
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
+One numpy implementation per job. The falsifier needs a beam c only through
+(h^H c, a_t^H c, ||c||^2). For isotropic c and Q an orthonormal basis of
+span{h, a_t} (rank r = min(M, 2)), z = Q^H c is isotropic and, independently,
+||c||^2 - ||z||^2 ~ 2 * Gamma(M - r) (variance 2 per entry). So r complex
+normals and one gamma variate per trial give exactly the full-space
+distribution, at a cost that does not depend on M. Normals and gammas come
+from two Philox streams (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC'11) read in trial order, so chunking never changes a draw.
 
 The 2-D search coordinates are (amp, phase): the candidate beam is
 c = amp * exp(1j*phase) * h + t * a_t with t >= 0 real, and t is eliminated
@@ -18,31 +22,11 @@ import numpy as np
 
 __all__ = ["eval_candidates", "falsifier_scan", "grid_scan"]
 
-TWO_PI = 2.0 * np.pi
-
-# splitmix64 constants
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_S30 = np.uint64(30)
-_S27 = np.uint64(27)
-_S31 = np.uint64(31)
-_S11 = np.uint64(11)
-_INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
-
-# grid rows per block: bounds the scan's memory at large resolutions
-_GRID_CHUNK = 256
-# the falsifier's default chunk holds about this many antenna draws, and at
-# most _MAX_TRIAL_CHUNK trials (reached at M <= 16)
-_CHUNK_DRAWS = 1 << 18
-_MAX_TRIAL_CHUNK = 16384
-
-
-def _mix64(z):
-    # splitmix64 finalizer; uint64 wrap-around is intended
-    z = (z ^ (z >> _S30)) * _MIX1
-    z = (z ^ (z >> _S27)) * _MIX2
-    return z ^ (z >> _S31)
+# grid points per block of whole rows: bounds the scan's temporaries (about
+# 18 MiB) whatever the resolution
+_GRID_BLOCK_POINTS = 1 << 18
+# falsifier trials per block: bounds its memory whatever the trial count
+_TRIAL_CHUNK = 16384
 
 
 def eval_candidates(
@@ -102,8 +86,9 @@ def grid_scan(
     best = -np.inf
     bi = bj = -1
     n_phase = phases.size
-    for start in range(0, amps.size, _GRID_CHUNK):
-        block = amps[start : start + _GRID_CHUNK, None]
+    rows = max(1, _GRID_BLOCK_POINTS // n_phase)
+    for start in range(0, amps.size, rows):
+        block = amps[start : start + rows, None]
         obj, _ = eval_candidates(
             block,
             cos_psi[None, :],
@@ -124,6 +109,37 @@ def grid_scan(
     return best, bi, bj
 
 
+def _draws(seed: int, trials: int, channel, steering, power: float, chunk: int):
+    """Yield power-scaled (objective, target power) arrays, ``chunk`` trials each."""
+    h = np.asarray(channel, dtype=np.complex128)
+    at = np.asarray(steering, dtype=np.complex128)
+    m, rank = h.size, min(h.size, 2)
+    # a_t = r12*q1 + r22*q2, q1 = h/||h||: Gram-Schmidt, re-orthogonalized once
+    hh = float(np.vdot(h, h).real)
+    q1 = h / np.sqrt(hh)
+    r12 = complex(np.vdot(q1, at))
+    rest = at - r12 * q1
+    fix = complex(np.vdot(q1, rest))
+    rest -= fix * q1
+    r12_conj, r22 = (r12 + fix).conjugate(), np.sqrt(np.vdot(rest, rest).real)
+    seeds = np.random.SeedSequence(int(seed) & 0xFFFFFFFFFFFFFFFF).spawn(2)
+    normals, gammas = (np.random.Generator(np.random.Philox(s)) for s in seeds)
+    for start in range(0, trials, chunk):
+        n = min(chunk, trials - start)
+        z = normals.standard_normal((n, 2 * rank)).view(np.complex128)  # z = Q^H c
+        sq = z.real * z.real + z.imag * z.imag
+        norm_sq = sq[:, 0].copy()
+        at_c = r12_conj * z[:, 0]
+        if rank == 2:
+            norm_sq += sq[:, 1]
+            at_c += r22 * z[:, 1]
+        if m > rank:
+            norm_sq += 2.0 * gammas.standard_gamma(m - rank, n)
+        # exact power scaling: c * sqrt(power / ||c||^2)
+        tgt = (at_c.real * at_c.real + at_c.imag * at_c.imag) / norm_sq
+        yield power * hh * (sq[:, 0] / norm_sq), power * tgt
+
+
 def falsifier_scan(
     seed: int,
     trials: int,
@@ -135,60 +151,19 @@ def falsifier_scan(
 ):
     """Best feasible random rank-one beam; (objective, trial index, count).
 
-    Trial i draws a standard complex Gaussian vector from the counter stream
-    keyed by (seed, i), scales it onto the power sphere, and keeps it only if
-    the target-direction power meets ``gamma`` (strict float compare).
-    Returns (-inf, -1, 0) when nothing is feasible. Trials are processed
-    ``chunk`` at a time (by default about 2**18 antenna draws, at most 16,384
-    trials), which bounds memory and leaves the result unchanged.
+    Each trial's isotropic beam is scaled exactly onto the power budget and
+    kept only if its target power meets ``gamma`` (strict float compare).
+    Returns (-inf, -1, 0) when nothing is feasible. Trials are drawn ``chunk``
+    at a time (default 16,384): memory stays bounded, the result unchanged.
     """
-    h = np.asarray(channel, dtype=np.complex128)
-    at = np.asarray(steering, dtype=np.complex128)
-    m = h.size
-    if chunk is None:
-        chunk = max(1, min(_MAX_TRIAL_CHUNK, _CHUNK_DRAWS // m))
-    hr, hi = np.ascontiguousarray(h.real), np.ascontiguousarray(h.imag)
-    ar, ai = np.ascontiguousarray(at.real), np.ascontiguousarray(at.imag)
-    best = -np.inf
-    best_trial = -1
-    feasible = 0
-    with np.errstate(over="ignore"):
-        s0 = _mix64(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF) + _GOLDEN)
-        slots = np.arange(1, 2 * m + 1, dtype=np.uint64) * _GOLDEN
-        for start in range(0, trials, chunk):
-            n = min(chunk, trials - start)
-            counters = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-            base = _mix64(s0 + counters * _GOLDEN)
-            v = _mix64(base[:, None] + slots[None, :])
-            u = ((v >> _S11).astype(np.float64) + 1.0) * _INV_2_53  # (0, 1]
-            radius = np.sqrt(-2.0 * np.log(u[:, 0::2]))
-            angle = TWO_PI * u[:, 1::2]
-            re = radius * np.cos(angle)
-            im = radius * np.sin(angle)
-            # accumulate antenna by antenna: each trial's sums then have one
-            # fixed rounding order whatever the chunk size (an einsum or BLAS
-            # reduction may reorder them with the row count)
-            norm_sq = np.zeros(n)
-            dh_re = np.zeros(n)
-            dh_im = np.zeros(n)
-            da_re = np.zeros(n)
-            da_im = np.zeros(n)
-            for p in range(m):
-                rp, ip = re[:, p], im[:, p]
-                norm_sq += rp * rp + ip * ip
-                dh_re += rp * hr[p] + ip * hi[p]
-                dh_im += rp * hi[p] - ip * hr[p]
-                da_re += rp * ar[p] + ip * ai[p]
-                da_im += rp * ai[p] - ip * ar[p]
-            scale = power / norm_sq
-            obj = (dh_re * dh_re + dh_im * dh_im) * scale
-            tgt = (da_re * da_re + da_im * da_im) * scale
-            ok = tgt >= gamma
-            feasible += int(np.count_nonzero(ok))
-            masked = np.where(ok, obj, -np.inf)
-            k = int(np.argmax(masked))
-            val = float(masked[k])
-            if val > best:
-                best = val
-                best_trial = start + k
+    best, best_trial, feasible, start = -np.inf, -1, 0, 0
+    chunk = _TRIAL_CHUNK if chunk is None else chunk
+    for obj, tgt in _draws(seed, trials, channel, steering, power, chunk):
+        ok = tgt >= gamma
+        feasible += int(np.count_nonzero(ok))
+        masked = np.where(ok, obj, -np.inf)
+        k = int(np.argmax(masked))
+        if masked[k] > best:
+            best, best_trial = float(masked[k]), start + k
+        start += ok.size
     return best, best_trial, feasible

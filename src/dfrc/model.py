@@ -148,7 +148,14 @@ class Scenario:
         object.__setattr__(self, "channel_norm_sq", hh)
         # unit-modulus entries, so the norm is exact
         object.__setattr__(self, "steering_norm_sq", float(m))
-        object.__setattr__(self, "cross_gain", complex(np.vdot(ch, at)))
+        cross = complex(np.vdot(ch, at))
+        # |h^H a_t| <= ||h|| sqrt(M) is finite, but its square can overflow
+        if not math.isfinite(abs(cross) * abs(cross)):
+            raise ValueError(
+                "channel/steering cross gain |h^H a_t|^2 overflows float64; "
+                "rescale the channel"
+            )
+        object.__setattr__(self, "cross_gain", cross)
 
     @classmethod
     def with_los_user(

@@ -8,8 +8,9 @@ Three oracles, none of which call into the closed-form solver:
   space separately), with optional zooming refinement around the best cell.
 * kkt_check - executable first-order optimality certificate for a candidate
   beam: stationarity, primal feasibility, dual sign, complementary slackness.
-* random_falsifier - seeded full-space sampling of power-exact random beams;
-  no feasible draw may ever beat the analytical optimum.
+* random_falsifier - seeded sampling of power-exact random beams from the
+  exact full-space distribution via (h^H c, a_t^H c, ||c||^2); no feasible
+  draw may ever beat the analytical optimum.
 """
 
 import math
@@ -305,7 +306,9 @@ def random_falsifier(
 
     Draws ``trials`` isotropic complex Gaussian beams scaled exactly onto the
     power budget, discards those below the target-power threshold, and
-    returns the best surviving received power. Deterministic in ``seed``.
+    returns the best surviving received power. Each beam is drawn from the
+    exact full-space distribution via (h^H c, a_t^H c, ||c||^2), so the cost
+    does not depend on the array size. Deterministic in ``seed``.
     """
     gamma = float(gamma)
     if not gamma >= 0.0:

@@ -11,7 +11,6 @@ import dataclasses
 import numpy as np
 
 from .closed_form import CaseTag, optimal_received_power, solve_closed_form
-from .metrics import channel_power
 from .model import Scenario
 from .oracle import grid_search_oracle, kkt_check, random_falsifier
 
@@ -72,10 +71,12 @@ def run_verification(
     falsifier = random_falsifier(scenario, gamma, trials=trials, seed=seed)
 
     gap_rel = _relative_gap(oracle.objective, reference_obj, scenario)
-    trace = float(np.trace(solution.covariance).real)
-    at = scenario.target_steering
-    target_power = float(np.vdot(at, solution.covariance @ at).real)
-    solution_obj = channel_power(solution.covariance, scenario.channel)
+    c = solution.vector_c
+    trace = float(np.sum(c * c.conj()).real)
+    ac = np.vdot(scenario.target_steering, c)
+    hc = np.vdot(scenario.channel, c)
+    target_power = float(ac.real * ac.real + ac.imag * ac.imag)
+    solution_obj = float(hc.real * hc.real + hc.imag * hc.imag)
 
     power = scenario.power_budget
     kkt_failures = set(certificate.failures(power, gamma))

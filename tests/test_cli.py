@@ -170,6 +170,17 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid scenario: ") and message in err
 
+    def test_cross_gain_overflow_is_usage_error(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(REFERENCE))
+        del cfg["scenario"]["user_angle_deg"]
+        cfg["scenario"].update(target_angle_deg=0.0, channel=[[4e153, 0.0]] * 10)
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        rc = main(["solve", "--config", str(path)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid scenario: ") and "cross gain" in err
+
     def test_infeasible_exit_code_and_message(self, tmp_path, capsys):
         path = write_config(tmp_path, {"radar": {"gamma": 11.0}})
         rc = main(["solve", "--config", str(path)])
@@ -353,6 +364,19 @@ class TestVerifyCommand:
         assert report["settings"]["resolution"] == [257, 257]
         assert report["settings"]["trials"] == 2000
         assert report["settings"]["seed"] == 9
+
+    @pytest.mark.parametrize("seed, same_as", [(-7, 2**64 - 7), (2**64 + 5, 5)])
+    def test_out_of_range_seed(self, tmp_path, capsys, seed, same_as):
+        path = write_config(
+            tmp_path, {"verify": {"resolution": 129, "trials": 2000}}
+        )
+        reports = []
+        for s in (seed, same_as):
+            assert main(["verify", "--config", str(path), "--seed", str(s)]) == EXIT_OK
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0]["settings"]["seed"] == seed
+        assert reports[0]["falsifier"] == reports[1]["falsifier"]
+        assert reports[0]["falsifier"]["num_feasible"] > 0
 
     def test_deterministic_output_bytes(self, tmp_path):
         path = write_config(

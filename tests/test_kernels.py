@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dfrc import kernels
+from dfrc import ArrayGeometry, Scenario, kernels
 
 
 class TestEvalCandidates:
@@ -76,6 +76,63 @@ class TestEvalCandidates:
         assert np.isfinite(obj[1])  # anchored pure-steering candidate
 
 
+class TestGridScan:
+    @pytest.mark.parametrize("side", [1, 127, 129, 257, 400])
+    def test_block_size_leaves_result_unchanged(
+        self, reference_scenario, monkeypatch, side
+    ):
+        # the first maximum in row-major order wins whatever the block size
+        sc = reference_scenario
+        amps = np.linspace(0.0, math.sqrt(sc.power_budget / sc.channel_norm_sq), side)
+        phases = np.linspace(-math.pi, math.pi, side)
+        args = (
+            amps,
+            phases,
+            float(np.angle(sc.cross_gain)),
+            sc.power_budget,
+            5.0,
+            sc.channel_norm_sq,
+            sc.steering_norm_sq,
+            abs(sc.cross_gain),
+            True,
+        )
+        results = set()
+        for points in (1, 1000, 128 * 257, 1 << 18):
+            monkeypatch.setattr(kernels, "_GRID_BLOCK_POINTS", points)
+            results.add(kernels.grid_scan(*args))
+        assert len(results) == 1
+
+
+def _draws(seed, trials, sc, chunk=kernels._TRIAL_CHUNK):
+    """All of the falsifier helper's (objective, target power) draws."""
+    pairs = list(
+        kernels._draws(
+            seed, trials, sc.channel, sc.target_steering, sc.power_budget, chunk
+        )
+    )
+    return np.concatenate([p[0] for p in pairs]), np.concatenate([p[1] for p in pairs])
+
+
+def _ks_statistic(x, y):
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_x - F_y|."""
+    x, y = np.sort(x), np.sort(y)
+    points = np.concatenate([x, y])
+    cdf_x = np.searchsorted(x, points, side="right") / x.size
+    cdf_y = np.searchsorted(y, points, side="right") / y.size
+    return float(np.max(np.abs(cdf_x - cdf_y)))
+
+
+def _scenario(kind, m, rng):
+    geom = ArrayGeometry(m, 0.5)
+    target = float(rng.uniform(-1.5, 1.5))
+    power = float(rng.uniform(0.5, 4.0))
+    if kind == "los":
+        user = float(rng.uniform(-1.5, 1.5))
+        return Scenario.with_los_user(geom, target, user, power)
+    h = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return Scenario(geom, target, h, power)
+
+
 class TestFalsifierStream:
     def test_deterministic_in_seed(self, reference_scenario):
         sc = reference_scenario
@@ -108,6 +165,67 @@ class TestFalsifierStream:
             5, trials, sc.channel, sc.target_steering, 1.0, 2.0, chunk=chunk
         )
         assert whole == chunked
+
+    @pytest.mark.parametrize("m", [1, 3, 10, 64])
+    def test_draws_prefix_bitwise(self, make_random_scenario, m):
+        # the first N draws of a longer run are bitwise the draws of N trials
+        sc = make_random_scenario(np.random.default_rng(m), m_lo=m, m_hi=m)
+        obj_short, tgt_short = _draws(8, 3001, sc, chunk=1000)
+        obj_long, tgt_long = _draws(8, 7000, sc, chunk=1000)
+        assert np.array_equal(obj_long[:3001], obj_short)
+        assert np.array_equal(tgt_long[:3001], tgt_short)
+
+    # 971 = 10 * 97 + 1 leaves a one-trial tail chunk
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_draws_chunk_independent(self, make_random_scenario, m):
+        sc = make_random_scenario(np.random.default_rng(40 + m), m_lo=m, m_hi=m)
+        obj, tgt = _draws(2, 971, sc)
+        args = (2, 971, sc.channel, sc.target_steering, sc.power_budget, 0.5 * m)
+        result = kernels.falsifier_scan(*args)
+        for chunk in (1, 97):
+            obj_c, tgt_c = _draws(2, 971, sc, chunk=chunk)
+            assert np.array_equal(obj_c, obj)
+            assert np.array_equal(tgt_c, tgt)
+            assert kernels.falsifier_scan(*args, chunk=chunk) == result
+
+    @pytest.mark.parametrize("kind", ["los", "rayleigh"])
+    @pytest.mark.parametrize("m", [2, 3, 8, 16])
+    def test_matches_full_space_distribution(self, kind, m):
+        # the reduced draws against 2M-entry isotropic beams from another
+        # generator: objective and target power after exact power scaling
+        rng = np.random.default_rng(1000 + 10 * m + (kind == "los"))
+        sc = _scenario(kind, m, rng)
+        n = 20_000
+        obj, tgt = _draws(31, n, sc)
+        c = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        scale = sc.power_budget / np.sum(c.real**2 + c.imag**2, axis=1)
+        full_obj = np.abs(c @ sc.channel.conj()) ** 2 * scale
+        full_tgt = np.abs(c @ sc.target_steering.conj()) ** 2 * scale
+        # alpha = 1e-3 critical value of the two-sample KS statistic
+        bound = math.sqrt(-math.log(1e-3 / 2) / 2) * math.sqrt(2 / n)
+        assert _ks_statistic(obj, full_obj) <= bound
+        assert _ks_statistic(tgt, full_tgt) <= bound
+
+    @pytest.mark.parametrize("scale", [1e-100, 0.3, 1.0, 7.5e40])
+    def test_single_antenna_objective_is_full_power(self, scale):
+        # at M = 1 every beam is the channel direction: objective P |h|^2
+        sc = Scenario(ArrayGeometry(1, 0.5), 0.2, [scale * (0.6 - 0.8j)], 2.5)
+        obj, tgt = _draws(4, 5000, sc)
+        top = sc.power_budget * sc.channel_norm_sq
+        assert np.all(np.abs(obj - top) <= np.spacing(top))
+        assert np.allclose(tgt, sc.power_budget, rtol=1e-14)
+
+    # the CLI passes any Python int; the stream keys on its low 64 bits
+    @pytest.mark.parametrize(
+        "seed, same_as",
+        [(-1, 2**64 - 1), (-(2**63), 2**63), (2**64 + 5, 5), (2**70, 0)],
+    )
+    def test_out_of_range_seeds_wrap(self, reference_scenario, seed, same_as):
+        sc = reference_scenario
+        args = (3000, sc.channel, sc.target_steering, 1.0, 2.0)
+        result = kernels.falsifier_scan(seed, *args)
+        assert result == kernels.falsifier_scan(same_as, *args)
+        assert result[2] > 0
 
     def test_default_chunk_beyond_16_antennas(self, make_random_scenario):
         rng = np.random.default_rng(21)

@@ -140,6 +140,14 @@ class TestScenario:
         with pytest.raises(ValueError, match=message):
             Scenario(ArrayGeometry(4, 0.5), 0.0, ch, 1.0)
 
+    def test_cross_gain_square_overflow_is_rejected(self):
+        # ||h||^2 = 1.6e308 is finite, |h^H a_t|^2 = 1.6e309 is not
+        ch = np.full(10, 4e153)
+        with pytest.raises(ValueError, match="cross gain.*overflows float64"):
+            Scenario(ArrayGeometry(10, 0.5), 0.0, ch, 1.0)
+        sc = Scenario(ArrayGeometry(10, 0.5), 0.0, ch / 4.0, 1.0)
+        assert sc.free_target_power == pytest.approx(10.0, rel=1e-12)
+
     def test_channel_norm_sq_bits_for_normal_inputs(self):
         rng = np.random.default_rng(17)
         for m in (1, 4, 64, 1000):

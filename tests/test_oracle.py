@@ -200,8 +200,21 @@ class TestRandomFalsifier:
         assert result.best_objective >= 0.95 * top
         assert result.best_objective <= top * (1 + 1e-9)
         # frozen regression value for the fixed seed
-        assert result.best_objective == pytest.approx(2.9936310819223313, rel=1e-12)
-        assert result.best_trial == 8646
+        assert result.best_objective == pytest.approx(2.993417495009647, rel=1e-12)
+        assert result.best_trial == 49424
+
+    @pytest.mark.parametrize("gamma_frac", [0.0, 0.3])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_gets_within_ten_percent_of_optimum(self, m, gamma_frac):
+        # so a closed form that under-reports the optimum by 10% fails verify
+        rng = np.random.default_rng(300 + m)
+        for k in range(10):
+            target, user = rng.uniform(-math.pi / 2, math.pi / 2, 2)
+            power = float(rng.uniform(0.1, 10.0))
+            sc = Scenario.with_los_user(ArrayGeometry(m, 0.5), target, user, power)
+            gamma = gamma_frac * power * m
+            result = random_falsifier(sc, gamma, trials=100_000, seed=k)
+            assert result.best_objective >= 0.9 * optimal_received_power(sc, gamma)
 
     def test_reproducible_and_seed_sensitive(self, reference_scenario):
         a = random_falsifier(reference_scenario, 2.0, trials=5000, seed=9)
