@@ -27,6 +27,7 @@ from .model import (
 from .sweep import (
     DEFAULT_BEAMPATTERN_LOSSES_DB,
     _check_loss_grid,
+    _overwrite,
     beampattern_sweep,
     default_loss_grid_db,
     tradeoff_sweep,
@@ -222,7 +223,7 @@ def _emit_text(text: str, out) -> None:
         try:
             if path.parent != Path("."):
                 path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text, encoding="utf-8")
+            _overwrite(path, text.encode("utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc}") from exc
         print(f"wrote {path}")

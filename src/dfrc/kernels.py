@@ -16,15 +16,26 @@ budget. Feasibility against the target-power threshold is checked strictly
 in floats; the amp = 0 column (pure steering beam, where the threshold can
 only be met at the very top of its range) is anchored analytically via the
 ``amp0_feasible`` flag to keep float dust from flipping it.
+
+``eval_candidates`` is the one evaluator: the grid scan calls it on blocks
+of whole rows and the oracle's refinement on 9 x 9 windows. It is memory
+bound, not arithmetic bound, so it works in three full-size buffers reused
+in place, with the terms that depend on amp alone computed once per row.
+Each operation is the same IEEE operation, in the same order, as the plain
+formula, so the results are bitwise those of the textbook expressions. The
+scan's blocks hold about 2^14 points: every temporary (128 KiB at most)
+stays in L2 cache and comes back from malloc's heap instead of being
+mapped, page-faulted in and unmapped again for each block. The first
+maximum in row-major order wins, so the block size never changes a result.
 """
 
 import numpy as np
 
 __all__ = ["eval_candidates", "falsifier_scan", "grid_scan"]
 
-# grid points per block of whole rows: bounds the scan's temporaries (about
-# 18 MiB) whatever the resolution
-_GRID_BLOCK_POINTS = 1 << 18
+# grid points per block of whole rows: each of the evaluator's temporaries
+# (128 KiB at most) stays in L2 cache and is reused from malloc's heap
+_GRID_BLOCK_POINTS = 1 << 14
 # falsifier trials per block: bounds its memory whatever the trial count
 _TRIAL_CHUNK = 16384
 
@@ -43,26 +54,44 @@ def eval_candidates(
     """Objective and steering weight at broadcastable (amp, psi) coordinates.
 
     ``psi`` is the candidate phase minus the phase of h^H a_t (the steering
-    weight t is pinned real nonnegative). Returns (objective, t) with the
-    objective set to -inf wherever the point is infeasible.
+    weight t is pinned real nonnegative). Returns (objective, t), both of
+    the broadcast shape, with the objective set to -inf wherever the point
+    is infeasible.
     """
     amp = np.asarray(amp, dtype=np.float64)
     cos_psi = np.asarray(cos_psi, dtype=np.float64)
     sin_psi = np.asarray(sin_psi, dtype=np.float64)
-    b_half = amp * cross_abs * cos_psi
-    resid = power - amp * amp * ch_norm_sq  # >= 0 on the amp domain
-    disc = b_half * b_half + st_norm_sq * resid
-    t = (np.sqrt(np.maximum(disc, 0.0)) - b_half) / st_norm_sq
-    t = np.maximum(t, 0.0)
-    radar = (amp * cross_abs * cos_psi + t * st_norm_sq) ** 2 + (
-        amp * cross_abs * sin_psi
-    ) ** 2
-    feasible = (disc >= 0.0) & (radar >= gamma)
-    feasible = np.where(amp == 0.0, amp0_feasible, feasible)
-    obj = (amp * ch_norm_sq + t * cross_abs * cos_psi) ** 2 + (
-        t * cross_abs * sin_psi
-    ) ** 2
-    return np.where(feasible, obj, -np.inf), t
+    shape = np.broadcast(amp, cos_psi, sin_psi).shape
+    # explicit buffers (not the operators' results) keep 0-d inputs arrays,
+    # so that the in-place steps below also work on them
+    amp_g = amp * cross_abs
+    b_half = np.multiply(amp_g, cos_psi, out=np.empty(shape))
+    disc = np.multiply(b_half, b_half, out=np.empty(shape))
+    disc += st_norm_sq * (power - amp * amp * ch_norm_sq)  # resid >= 0 on the amp domain
+    t = np.maximum(disc, 0.0, out=np.empty(shape))
+    np.sqrt(t, out=t)
+    t -= b_half
+    t /= st_norm_sq
+    np.maximum(t, 0.0, out=t)
+    feasible = np.greater_equal(disc, 0.0, out=np.empty(shape, dtype=bool))
+    radar = np.multiply(t, st_norm_sq, out=disc)
+    radar += b_half
+    radar *= radar
+    side = np.multiply(amp_g, sin_psi, out=b_half)
+    side *= side
+    radar += side
+    feasible &= radar >= gamma
+    if not amp.all():  # some amp == 0
+        np.copyto(feasible, amp0_feasible, where=amp == 0.0)
+    t_cross = np.multiply(t, cross_abs, out=side)
+    obj = np.multiply(t_cross, cos_psi, out=radar)
+    obj += amp * ch_norm_sq
+    obj *= obj
+    t_cross *= sin_psi
+    t_cross *= t_cross
+    obj += t_cross
+    obj[~feasible] = -np.inf
+    return obj, t
 
 
 def grid_scan(
@@ -78,21 +107,24 @@ def grid_scan(
 ):
     """Best feasible grid point; returns (objective, amp index, phase index).
 
-    (-inf, -1, -1) when no grid point is feasible. Chunked over the amp axis
-    to bound memory at large resolutions.
+    (-inf, -1, -1) when no grid point is feasible. Evaluated in blocks of
+    whole amp rows, of about ``_GRID_BLOCK_POINTS`` points each.
     """
-    cos_psi = np.cos(phases - cross_arg)
-    sin_psi = np.sin(phases - cross_arg)
+    psi = phases - cross_arg
+    cos_psi = np.cos(psi)[None, :]
+    sin_psi = np.sin(psi)[None, :]
     best = -np.inf
     bi = bj = -1
-    n_phase = phases.size
+    n_amp, n_phase = amps.size, phases.size
     rows = max(1, _GRID_BLOCK_POINTS // n_phase)
-    for start in range(0, amps.size, rows):
-        block = amps[start : start + rows, None]
+    blocks = -(-n_amp // rows)
+    if blocks:
+        rows = -(-n_amp // blocks)  # split evenly: the last block is no sliver
+    for start in range(0, n_amp, rows):
         obj, _ = eval_candidates(
-            block,
-            cos_psi[None, :],
-            sin_psi[None, :],
+            amps[start : start + rows, None],
+            cos_psi,
+            sin_psi,
             power,
             gamma,
             ch_norm_sq,

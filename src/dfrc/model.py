@@ -156,6 +156,17 @@ class Scenario:
                 "rescale the channel"
             )
         object.__setattr__(self, "cross_gain", cross)
+        # each factor is finite, but a product with the power budget can
+        # overflow and would surface later as an infinite capacity
+        for label, value in (
+            ("power * ||h||^2", p * hh),
+            ("power * M", p * m),
+            ("free target power", self.free_target_power),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{label} overflows float64; rescale the channel or the power"
+                )
 
     @classmethod
     def with_los_user(

@@ -36,6 +36,8 @@ DEFAULT_RESOLUTION = (2001, 2001)
 DEFAULT_REFINE_ITERS = 40
 _MIN_RESOLUTION = 64
 _WINDOW = 9  # refinement window is _WINDOW x _WINDOW points
+_RAMP = np.arange(_WINDOW, dtype=np.float64)
+_RAMP.setflags(write=False)
 
 
 class OracleResolutionError(RuntimeError):
@@ -116,12 +118,11 @@ def _scan_params(scenario: Scenario, gamma: float):
 
 
 def _eval_window(amps, phases, params):
-    cos_psi = np.cos(phases - params["cross_arg"])
-    sin_psi = np.sin(phases - params["cross_arg"])
+    psi = phases - params["cross_arg"]
     return kernels.eval_candidates(
         amps,
-        cos_psi,
-        sin_psi,
+        np.cos(psi),
+        np.sin(psi),
         params["power"],
         params["gamma"],
         params["ch_norm_sq"],
@@ -131,16 +132,33 @@ def _eval_window(amps, phases, params):
     )
 
 
+def _window(lo: float, hi: float) -> np.ndarray:
+    """``np.linspace(lo, hi, _WINDOW)``, bit for bit, without its overhead."""
+    delta = hi - lo
+    step = delta / (_WINDOW - 1)
+    if step == 0:
+        # numpy's branch for a step that underflows to zero
+        y = _RAMP / (_WINDOW - 1)
+        y *= delta
+    else:
+        y = _RAMP * step
+    y += lo
+    y[-1] = hi
+    return y
+
+
 def _refine(amp0, phase0, step_amp, step_phase, amp_max, params, iters):
     best_amp, best_phase = amp0, phase0
     obj, t = _eval_window(np.array([amp0]), np.array([phase0]), params)
     best_obj, best_t = float(obj[0]), float(t[0])
     previous = (best_amp, best_phase, best_obj, step_amp, step_phase)
     for _ in range(iters):
-        amps = np.clip(
-            np.linspace(best_amp - step_amp, best_amp + step_amp, _WINDOW), 0.0, amp_max
-        )
-        phases = np.linspace(best_phase - step_phase, best_phase + step_phase, _WINDOW)
+        amps = _window(best_amp - step_amp, best_amp + step_amp)
+        # clip to [0, amp_max]; the window never holds -0.0 or nan, where
+        # this and np.clip could differ
+        np.maximum(amps, 0.0, out=amps)
+        np.minimum(amps, amp_max, out=amps)
+        phases = _window(best_phase - step_phase, best_phase + step_phase)
         obj, t = _eval_window(amps[:, None], phases[None, :], params)
         k = int(np.argmax(obj))
         i, j = divmod(k, _WINDOW)

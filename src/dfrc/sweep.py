@@ -15,6 +15,8 @@ their lines are joined directly, with the same bytes.
 import csv
 import io
 import math
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -136,11 +138,26 @@ def _format_field(value, formatters=_FORMATTERS) -> str:
     return formatter(native)
 
 
+def _overwrite(path, data: bytes) -> None:
+    """Make ``path`` hold exactly ``data``, writing over any old bytes in place.
+
+    ``open(path, "w")`` truncates on open, and on some filesystems (ext4
+    with online discard) truncating a non-empty file to zero stalls for tens
+    of milliseconds; writing over the old bytes and cutting off only the
+    tail left over costs microseconds. The file keeps its inode, so its
+    permissions and hard links too. Only a regular file is cut: ftruncate
+    fails on a pipe or a terminal, which ``--out /dev/stdout`` may name.
+    """
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def _write_text(text: str, destination) -> Path:
     path = Path(destination)
     try:
-        with open(path, "w", newline="", encoding="ascii") as fh:
-            fh.write(text)
+        _overwrite(path, text.encode("ascii"))
     except OSError as exc:
         raise OSError(f"failed writing {path}: {exc}") from exc
     return path

@@ -181,6 +181,40 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid scenario: ") and "cross gain" in err
 
+    def test_power_product_overflow_is_usage_error(self, tmp_path, capsys):
+        # every input is finite, P ||h||^2 is not: capacity would come out inf
+        cfg = json.loads(json.dumps(REFERENCE))
+        del cfg["scenario"]["user_angle_deg"]
+        cfg["scenario"].update(target_angle_deg=0.0, power=1e11, channel=[[4e148, 0.0]] * 10)
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        rc = main(["solve", "--config", str(path)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid scenario: power * ||h||^2 overflows")
+
+    def test_out_file_rewritten_exactly(self, tmp_path, capsys):
+        out = tmp_path / "solution.txt"
+        out.write_text("stale\n" * 1000)
+        args = ["solve", "--config", str(write_config(tmp_path))]
+        assert main(args) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert main(args + ["--out", str(out)]) == EXIT_OK
+        assert out.read_text() == printed
+
+    def test_out_dev_stdout_through_a_pipe(self, tmp_path):
+        # a pipe cannot be truncated; the output must still arrive whole
+        path = write_config(tmp_path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "dfrc", "solve", "--config", str(path), "--out", "/dev/stdout"],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.startswith("case: active\n")
+        assert proc.stdout.endswith("\nwrote /dev/stdout\n")
+
     def test_infeasible_exit_code_and_message(self, tmp_path, capsys):
         path = write_config(tmp_path, {"radar": {"gamma": 11.0}})
         rc = main(["solve", "--config", str(path)])

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dfrc import ArrayGeometry, Scenario, kernels
+from dfrc import ArrayGeometry, Scenario, kernels, oracle, steering_vector
 
 
 class TestEvalCandidates:
@@ -101,6 +101,154 @@ class TestGridScan:
             monkeypatch.setattr(kernels, "_GRID_BLOCK_POINTS", points)
             results.add(kernels.grid_scan(*args))
         assert len(results) == 1
+
+
+def _eval_candidates_reference(
+    amp, cos_psi, sin_psi, power, gamma, ch_norm_sq, st_norm_sq, cross_abs, amp0_feasible
+):
+    # the evaluator as plain expressions, frozen: the in-place one must
+    # match it bit for bit
+    amp = np.asarray(amp, dtype=np.float64)
+    cos_psi = np.asarray(cos_psi, dtype=np.float64)
+    sin_psi = np.asarray(sin_psi, dtype=np.float64)
+    b_half = amp * cross_abs * cos_psi
+    resid = power - amp * amp * ch_norm_sq
+    disc = b_half * b_half + st_norm_sq * resid
+    t = (np.sqrt(np.maximum(disc, 0.0)) - b_half) / st_norm_sq
+    t = np.maximum(t, 0.0)
+    radar = (amp * cross_abs * cos_psi + t * st_norm_sq) ** 2 + (
+        amp * cross_abs * sin_psi
+    ) ** 2
+    feasible = (disc >= 0.0) & (radar >= gamma)
+    feasible = np.where(amp == 0.0, amp0_feasible, feasible)
+    obj = (amp * ch_norm_sq + t * cross_abs * cos_psi) ** 2 + (
+        t * cross_abs * sin_psi
+    ) ** 2
+    return np.where(feasible, obj, -np.inf), t
+
+
+def _grid_scan_reference(
+    amps, phases, cross_arg, power, gamma, ch_norm_sq, st_norm_sq, cross_abs, amp0_feasible
+):
+    # the grid scan with 2^18-point blocks and the plain evaluator, frozen
+    cos_psi = np.cos(phases - cross_arg)
+    sin_psi = np.sin(phases - cross_arg)
+    best = -np.inf
+    bi = bj = -1
+    n_phase = phases.size
+    rows = max(1, (1 << 18) // n_phase)
+    for start in range(0, amps.size, rows):
+        obj, _ = _eval_candidates_reference(
+            amps[start : start + rows, None],
+            cos_psi[None, :],
+            sin_psi[None, :],
+            power,
+            gamma,
+            ch_norm_sq,
+            st_norm_sq,
+            cross_abs,
+            amp0_feasible,
+        )
+        k = int(np.argmax(obj))
+        val = float(obj.flat[k])
+        if val > best:
+            best = val
+            bi = start + k // n_phase
+            bj = k % n_phase
+    return best, bi, bj
+
+
+def _channel(kind, geom, target, rng):
+    m = geom.num_antennas
+    at = steering_vector(geom, target)
+    if kind == "los":
+        return steering_vector(geom, float(rng.uniform(-1.5, 1.5)))
+    if kind == "collinear":
+        return complex(rng.standard_normal(), rng.standard_normal()) * at
+    h = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    if kind == "orthogonal":
+        h -= np.vdot(at, h) / m * at
+    return h
+
+
+def _scan_corpus():
+    """(grid_scan args, label) over channel kinds, scales and thresholds."""
+    rng = np.random.default_rng(1101)
+    for kind in ("los", "rayleigh", "collinear", "orthogonal"):
+        for scale in (1e-100, 1e-30, 1.0, 1e30, 1e100):
+            m = int(rng.integers(2, 17))
+            geom = ArrayGeometry(m, 0.5)
+            target = float(rng.uniform(-1.5, 1.5))
+            h = scale * _channel(kind, geom, target, rng)
+            sc = Scenario(geom, target, h, float(10.0 ** rng.uniform(-2.0, 2.0)))
+            # a threshold just past the top leaves even amp = 0 infeasible
+            for fraction in (0.0, float(rng.uniform(0.2, 0.8)), 1.0, 1.0 + 1e-9):
+                params = oracle._scan_params(sc, fraction * sc.max_target_power)
+                n_amp, n_phase = (int(n) for n in rng.integers(64, 701, size=2))
+                amp_max = math.sqrt(sc.power_budget / sc.channel_norm_sq)
+                amps = np.linspace(0.0, amp_max, n_amp)
+                phases = np.linspace(0.0, 2.0 * math.pi, n_phase, endpoint=False)
+                yield (
+                    amps,
+                    phases,
+                    params["cross_arg"],
+                    params["power"],
+                    params["gamma"],
+                    params["ch_norm_sq"],
+                    params["st_norm_sq"],
+                    params["cross_abs"],
+                    params["amp0_feasible"],
+                ), f"{kind} x{scale:g} gamma={fraction:.3g} {n_amp}x{n_phase}"
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestAgainstFrozenReference:
+    def test_grid_scan_corpus(self):
+        cases = 0
+        for args, label in _scan_corpus():
+            assert repr(kernels.grid_scan(*args)) == repr(_grid_scan_reference(*args)), label
+            cases += 1
+        assert cases == 80
+
+    def test_grid_scan_phase_axis_longer_than_a_block(self):
+        args, _ = next(_scan_corpus())
+        n_phase = kernels._GRID_BLOCK_POINTS + 1001
+        phases = np.linspace(0.0, 2.0 * math.pi, n_phase, endpoint=False)
+        args = (args[0][:7], phases) + args[2:]
+        assert repr(kernels.grid_scan(*args)) == repr(_grid_scan_reference(*args))
+
+    def test_eval_candidates_blocks_and_windows(self):
+        rng = np.random.default_rng(1102)
+        for args, label in _scan_corpus():
+            amps, phases, cross_arg, *rest = args
+            psi = phases - cross_arg
+            # a scan block, and a refinement window off the grid
+            window_amps = rng.uniform(0.0, amps[-1], 9)
+            window_psi = rng.uniform(0.0, 2.0 * math.pi, 9)
+            for a, p in ((amps[:40, None], psi[None, :]), (window_amps[:, None], window_psi)):
+                got = kernels.eval_candidates(a, np.cos(p), np.sin(p), *rest)
+                want = _eval_candidates_reference(a, np.cos(p), np.sin(p), *rest)
+                for g, w in zip(got, want):
+                    _assert_same_bits(g, w)
+
+    @pytest.mark.parametrize("amp", [0.0, 0.37, [0.0, 0.2, 0.45]])
+    def test_eval_candidates_takes_scalars_and_lists(self, reference_scenario, amp):
+        sc = reference_scenario
+        rest = (1.0, 4.0, sc.channel_norm_sq, sc.steering_norm_sq, abs(sc.cross_gain), False)
+        got = kernels.eval_candidates(amp, 0.6, 0.8, *rest)
+        want = _eval_candidates_reference(amp, 0.6, 0.8, *rest)
+        for g, w in zip(got, want):
+            _assert_same_bits(g, w)
+        column = np.reshape(amp, (-1, 1)).tolist()  # a nested list, one row per amp
+        got = kernels.eval_candidates(column, [0.6, -0.28], [0.8, 0.96], *rest)
+        want = _eval_candidates_reference(column, [0.6, -0.28], [0.8, 0.96], *rest)
+        for g, w in zip(got, want):
+            _assert_same_bits(g, w)
 
 
 def _draws(seed, trials, sc, chunk=kernels._TRIAL_CHUNK):

@@ -148,6 +148,23 @@ class TestScenario:
         sc = Scenario(ArrayGeometry(10, 0.5), 0.0, ch / 4.0, 1.0)
         assert sc.free_target_power == pytest.approx(10.0, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "channel, power, product",
+        [
+            # ||h||^2 = 1.6e298 and P = 1e11 are finite, P ||h||^2 is not
+            (np.full(10, 4e148), 1e11, "power \\* \\|\\|h\\|\\|\\^2"),
+            (np.full(10, 1e-10), 1e308, "power \\* M"),
+            # P |h^H a_t|^2 = 1e310 although P ||h||^2 = 1e308 and P M = 1e302
+            (np.full(100, 1e3 + 0j), 1e300, "free target power"),
+        ],
+    )
+    def test_power_products_overflow_is_rejected(self, channel, power, product):
+        geom = ArrayGeometry(channel.size, 0.5)
+        with pytest.raises(ValueError, match=f"{product} overflows float64"):
+            Scenario(geom, 0.0, channel, power)
+        sc = Scenario(geom, 0.0, channel, power / 1e4)
+        assert math.isfinite(sc.free_target_power)
+
     def test_channel_norm_sq_bits_for_normal_inputs(self):
         rng = np.random.default_rng(17)
         for m in (1, 4, 64, 1000):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,3 +306,78 @@ class TestRefineFixedPoint:
         # 160 oracle calls: one initial point plus 40 windows each before
         assert calls["before"] == 160 * (1 + oracle.DEFAULT_REFINE_ITERS)
         assert calls["now"] < calls["before"]
+
+
+def _refine_before(amp0, phase0, step_amp, step_phase, amp_max, params, iters):
+    # the refine loop with np.linspace and np.clip, frozen: the lean loop
+    # must give the same bits
+    window = oracle._WINDOW
+    best_amp, best_phase = amp0, phase0
+    obj, t = oracle._eval_window(np.array([amp0]), np.array([phase0]), params)
+    best_obj, best_t = float(obj[0]), float(t[0])
+    previous = (best_amp, best_phase, best_obj, step_amp, step_phase)
+    for _ in range(iters):
+        amps = np.clip(
+            np.linspace(best_amp - step_amp, best_amp + step_amp, window), 0.0, amp_max
+        )
+        phases = np.linspace(best_phase - step_phase, best_phase + step_phase, window)
+        obj, t = oracle._eval_window(amps[:, None], phases[None, :], params)
+        k = int(np.argmax(obj))
+        i, j = divmod(k, window)
+        if float(obj[i, j]) > best_obj:
+            best_obj = float(obj[i, j])
+            best_t = float(t[i, j])
+            best_amp = float(amps[i])
+            best_phase = float(phases[j])
+        if 0 < i < window - 1:
+            step_amp *= 0.5
+        if 0 < j < window - 1:
+            step_phase *= 0.5
+        state = (best_amp, best_phase, best_obj, step_amp, step_phase)
+        if state == previous:
+            break
+        previous = state
+    return best_obj, best_amp, best_phase, best_t
+
+
+class TestLeanRefine:
+    def test_same_bits_as_linspace_and_clip(self, monkeypatch):
+        for sc, gamma in _refine_corpus():
+            now = grid_search_oracle(sc, gamma, resolution=129)
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_refine", _refine_before)
+                before = grid_search_oracle(sc, gamma, resolution=129)
+            assert repr(now) == repr(before)
+
+    def test_window_is_linspace_bit_for_bit(self):
+        rng = np.random.default_rng(77)
+        tiny = np.nextafter(0.0, 1.0)
+        cases = [
+            (0.0, 0.0),
+            (1.0, 1.0),
+            (-3.5, -1.25),
+            (-1e300, 1e300),  # the span overflows to inf
+            (1e308, 1.7e308),
+            (0.0, 8 * tiny),  # step is the smallest subnormal
+            (0.0, 3 * tiny),  # step underflows to zero: numpy's other branch
+            (-5 * tiny, 2 * tiny),
+            (2.0, 2.0 + 4e-16),  # step below the spacing of the values
+            (5.0, -5.0),
+        ]
+        for _ in range(300):
+            centre = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-320, 300))
+            half = float(10.0 ** rng.uniform(-323, 300))
+            cases.append((centre - half, centre + half))
+        for lo, hi in cases:
+            got = oracle._window(lo, hi)
+            want = np.linspace(lo, hi, oracle._WINDOW)
+            assert got.tobytes() == want.tobytes(), (lo, hi)
+
+    def test_default_resolution_memory_bounded(self, reference_scenario):
+        tracemalloc.start()
+        try:
+            grid_search_oracle(reference_scenario, 5.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20

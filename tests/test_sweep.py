@@ -1,7 +1,9 @@
 import csv
 import io
 import math
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -242,6 +244,31 @@ class TestCsvEmission:
         assert a.decode("ascii").split("\n")[1] == (
             '0.10000000000000001,-3,"a,b","say ""hi""",1e-300,inf'
         )
+
+    def test_rewrite_over_longer_file(self, reference_scenario, tmp_path):
+        # the file is written over in place: no tail of the old bytes is left
+        short = tradeoff_sweep(reference_scenario, [-1.0, 0.0])
+        fresh = write_tradeoff_csv(short, tmp_path / "fresh.csv").read_bytes()
+        path = tmp_path / "t.csv"
+        write_tradeoff_csv(tradeoff_sweep(reference_scenario), path)
+        assert path.stat().st_size > len(fresh)
+        assert write_tradeoff_csv(short, path).read_bytes() == fresh
+        patterns = beampattern_sweep(reference_scenario, [0.0])
+        write_beampattern_csv(patterns, path)
+        assert path.read_bytes() == write_beampattern_csv(patterns, tmp_path / "b.csv").read_bytes()
+
+    def test_rewrite_keeps_mode_and_hard_links(self, reference_scenario, tmp_path):
+        path, link = tmp_path / "t.csv", tmp_path / "link.csv"
+        path.write_text("x" * 50_000)
+        path.chmod(0o640)
+        os.link(path, link)
+        before = path.stat()
+        write_tradeoff_csv(tradeoff_sweep(reference_scenario, [0.0]), path)
+        after = path.stat()
+        assert (after.st_ino, after.st_nlink) == (before.st_ino, 2)
+        assert stat.S_IMODE(after.st_mode) == 0o640
+        assert link.read_bytes() == path.read_bytes()
+        assert path.read_bytes().startswith(b"snr_loss_db,")
 
     def test_io_error_carries_path(self, reference_scenario, tmp_path):
         points = tradeoff_sweep(reference_scenario, [-1.0, 0.0])
