@@ -346,9 +346,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InfeasibleRadarRequirement as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except ValueError as exc:
+        # a ConfigError, or an input the library itself rejects (such as the
+        # oracle's grid size or the falsifier's trial count)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE

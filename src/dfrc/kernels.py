@@ -18,9 +18,10 @@ only be met at the very top of its range) is anchored analytically via the
 ``amp0_feasible`` flag to keep float dust from flipping it.
 
 ``eval_candidates`` is the one evaluator: the grid scan calls it on blocks
-of whole rows and the oracle's refinement on 9 x 9 windows. It is memory
-bound, not arithmetic bound, so it works in three full-size buffers reused
-in place, with the terms that depend on amp alone computed once per row.
+of whole rows and the oracle's refinement on small square windows
+(``oracle._WINDOW`` points a side). It is memory bound, not arithmetic
+bound, so it works in three full-size buffers reused in place, with the
+terms that depend on amp alone computed once per row.
 Each operation is the same IEEE operation, in the same order, as the plain
 formula, so the results are bitwise those of the textbook expressions. The
 scan's blocks hold about 2^14 points: every temporary (128 KiB at most)

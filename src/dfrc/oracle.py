@@ -35,7 +35,12 @@ __all__ = [
 DEFAULT_RESOLUTION = (2001, 2001)
 DEFAULT_REFINE_ITERS = 40
 _MIN_RESOLUTION = 64
-_WINDOW = 9  # refinement window is _WINDOW x _WINDOW points
+# refinement window is _WINDOW x _WINDOW points; where the objective is
+# unimodal along an axis, an interior maximum brackets the true one between
+# its two neighbours, so that axis's half-width shrinks to one window
+# spacing: a zoom of 2 / (_WINDOW - 1) = 1/8
+_WINDOW = 17
+_ZOOM = 2.0 / (_WINDOW - 1)
 _RAMP = np.arange(_WINDOW, dtype=np.float64)
 _RAMP.setflags(write=False)
 
@@ -86,9 +91,6 @@ class KktCertificate:
         if not abs(self.comp_slackness_residual) <= 1e-8:
             out.append("complementary_slackness")
         return out
-
-    def within_bounds(self, power: float, gamma: float) -> bool:
-        return not self.failures(power, gamma)
 
 
 @dataclass(frozen=True)
@@ -167,14 +169,14 @@ def _refine(amp0, phase0, step_amp, step_phase, amp_max, params, iters):
             best_t = float(t[i, j])
             best_amp = float(amps[i])
             best_phase = float(phases[j])
-        # per axis: bisect the window when its maximum is interior, pan
-        # (keep the step, re-centred on the best point) when it is on an
-        # edge; axes are independent so a flat direction cannot stall the
-        # other one
+        # per axis: shrink the window to the bracket of its maximum when that
+        # is interior, pan (keep the step, re-centred on the best point) when
+        # it is on an edge; axes are independent so a flat direction cannot
+        # stall the other one
         if 0 < i < _WINDOW - 1:
-            step_amp *= 0.5
+            step_amp *= _ZOOM
         if 0 < j < _WINDOW - 1:
-            step_phase *= 0.5
+            step_phase *= _ZOOM
         # an iteration that changed nothing is a fixed point: every later
         # one would evaluate the same window and change nothing either
         state = (best_amp, best_phase, best_obj, step_amp, step_phase)
@@ -196,9 +198,11 @@ def grid_search_oracle(
     The scan covers amp in [0, sqrt(power)/||h||] and phase in [0, 2*pi);
     the steering weight is eliminated through the exact power budget, so
     every candidate is power-exact and feasibility is a strict comparison.
-    With ``refine`` a zooming window search polishes the best cell
-    (halving the window when the maximum is interior, panning otherwise),
-    which reaches ~1e-9 relative accuracy from modest grids.
+    With ``refine`` a zooming window search polishes the best cell: on each
+    axis where a window's maximum is interior, the next window spans just
+    the bracket between that maximum's two neighbours (a zoom of 1/8); where
+    it is on an edge, the window pans. This reaches ~1e-9 relative accuracy
+    from modest grids.
     """
     gamma = float(gamma)
     if not gamma >= 0.0:

@@ -427,6 +427,32 @@ class TestVerifyCommand:
         rc = main(["verify", "--config", str(path)])
         assert rc == EXIT_INFEASIBLE
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("resolution", 10, "resolution must be at least 64 per axis"),
+            ("trials", 0, "trials must be positive, got 0"),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_library_rejection_is_usage_error(
+        self, tmp_path, capsys, key, value, message, source
+    ):
+        # the oracle and the falsifier check these themselves; the CLI only
+        # turns their ValueError into an error line and exit code 1
+        settings = {"resolution": 129, "trials": 500}
+        flags = []
+        if source == "config":
+            settings[key] = value
+        else:
+            flags = [f"--{key}", str(value)]
+        path = write_config(tmp_path, {"verify": settings})
+        rc = main(["verify", "--config", str(path), *flags])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_console_script_runs(self, tmp_path):
         path = write_config(
             tmp_path, {"verify": {"resolution": 129, "trials": 500, "seed": 0}}

@@ -14,6 +14,7 @@ from dfrc import (
     optimal_received_power,
     random_falsifier,
     solve_closed_form,
+    steering_vector,
 )
 
 
@@ -93,9 +94,8 @@ class TestKktCheck:
             gamma = float(rng.uniform(0.0, sc.max_target_power))
             sol = solve_closed_form(sc, gamma)
             cert = kkt_check(sol, sc, gamma)
-            assert cert.within_bounds(sc.power_budget, gamma), cert.failures(
-                sc.power_budget, gamma
-            )
+            failures = cert.failures(sc.power_budget, gamma)
+            assert not failures, failures
 
     def test_reference_multipliers(self, reference_scenario):
         # exact duals at gamma=5: mu = ||h||^2 + |b||g|/|a|,
@@ -128,7 +128,7 @@ class TestKktCheck:
         assert cert.dual_lambda == pytest.approx(
             sc.channel_norm_sq / sc.steering_norm_sq, rel=1e-9
         )
-        assert cert.within_bounds(sc.power_budget, 5.0)
+        assert not cert.failures(sc.power_budget, 5.0)
 
     def test_top_of_range_residual_is_reported_honestly(self, reference_scenario):
         # at gamma = P*M both constraint gradients align with the beam and no
@@ -147,7 +147,7 @@ class TestKktCheck:
             * math.sqrt(sc.channel_norm_sq - g**2 / m)
         )
         assert cert.stationarity_residual >= floor * (1.0 - 1e-9)
-        assert not cert.within_bounds(sc.power_budget, gamma)
+        assert cert.failures(sc.power_budget, gamma)
         # primal sides still hold exactly: the beam is the scaled steering ray
         assert abs(cert.power_residual) <= 1e-9 * sc.power_budget
         assert cert.snr_slack <= 1e-9 * gamma
@@ -160,7 +160,7 @@ class TestKktCheck:
         bad_c = sol.vector_c + 0.05 * np.exp(1j * 0.7) * np.ones(10)
         bad = dataclasses.replace(sol, vector_c=bad_c)
         cert = kkt_check(bad, sc, 5.0)
-        assert not cert.within_bounds(sc.power_budget, 5.0)
+        assert cert.failures(sc.power_budget, 5.0)
         assert "stationarity" in cert.failures(sc.power_budget, 5.0) or "power" in cert.failures(
             sc.power_budget, 5.0
         )
@@ -260,9 +260,9 @@ def _refine_all_iterations(amp0, phase0, step_amp, step_phase, amp_max, params, 
             best_amp = float(amps[i])
             best_phase = float(phases[j])
         if 0 < i < window - 1:
-            step_amp *= 0.5
+            step_amp *= oracle._ZOOM
         if 0 < j < window - 1:
-            step_phase *= 0.5
+            step_phase *= oracle._ZOOM
     return best_obj, best_amp, best_phase, best_t
 
 
@@ -330,14 +330,75 @@ def _refine_before(amp0, phase0, step_amp, step_phase, amp_max, params, iters):
             best_amp = float(amps[i])
             best_phase = float(phases[j])
         if 0 < i < window - 1:
-            step_amp *= 0.5
+            step_amp *= oracle._ZOOM
         if 0 < j < window - 1:
-            step_phase *= 0.5
+            step_phase *= oracle._ZOOM
         state = (best_amp, best_phase, best_obj, step_amp, step_phase)
         if state == previous:
             break
         previous = state
     return best_obj, best_amp, best_phase, best_t
+
+
+def _harsh_corpus(count=600, seed=515):
+    # LoS, Rayleigh, near-collinear and orthogonal channels; M up to 64;
+    # power and channel scale over six decades; thresholds up to the top of
+    # the feasible range; grids from 64 to 257 points a side. Every kind
+    # meets every threshold fraction and every resolution.
+    rng = np.random.default_rng(seed)
+    kinds = ("los", "rayleigh", "collinear", "orthogonal")
+    fractions = (0.0, 0.1, 0.5, 0.9, 0.999, 1.0)
+    resolutions = (64, 129, 257)
+    for index in range(count):
+        kind = kinds[index % len(kinds)]
+        m = int(rng.integers(2 if kind == "orthogonal" else 1, 65))
+        geometry = ArrayGeometry(m, 0.5)
+        target = float(rng.uniform(-math.pi / 2, math.pi / 2))
+        power = float(10.0 ** rng.uniform(-3.0, 3.0))
+        scale = float(10.0 ** rng.uniform(-3.0, 3.0))
+        at = steering_vector(geometry, target)
+        if kind == "los":
+            channel = steering_vector(geometry, float(rng.uniform(-math.pi / 2, math.pi / 2)))
+        else:
+            channel = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2.0)
+            if kind == "collinear":
+                channel = at * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) + 1e-3 * channel
+            elif kind == "orthogonal":
+                channel = channel - (np.vdot(at, channel) / m) * at
+        sc = Scenario(geometry, target, scale * channel, power)
+        gamma = fractions[(index // len(kinds)) % len(fractions)] * sc.max_target_power
+        resolution = resolutions[(index // (len(kinds) * len(fractions))) % len(resolutions)]
+        yield sc, gamma, resolution
+
+
+class TestBracketRefine:
+    def test_harsh_corpus_matches_closed_form(self):
+        worst = 0.0
+        for sc, gamma, resolution in _harsh_corpus():
+            orc = grid_search_oracle(sc, gamma, resolution=resolution)
+            exact = optimal_received_power(sc, gamma)
+            scale = max(exact, sc.power_budget * sc.channel_norm_sq * 1e-9)
+            assert orc.objective <= exact + 1e-11 * scale, (sc, gamma, resolution)
+            worst = max(worst, abs(orc.objective - exact) / scale)
+        assert worst <= 1e-9
+
+    def test_window_count(self, monkeypatch):
+        # bracketing zooms each interior axis by 2 / (_WINDOW - 1); halving
+        # instead would need about twice the windows and hit the cap
+        evaluate = oracle._eval_window
+        calls = []
+
+        def counted(*args):
+            calls[-1] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(oracle, "_eval_window", counted)
+        for sc, gamma in _refine_corpus():
+            calls.append(0)
+            grid_search_oracle(sc, gamma, resolution=129)
+        assert len(calls) == 160
+        assert sum(calls) / len(calls) <= 20
+        assert max(calls) < 1 + oracle.DEFAULT_REFINE_ITERS
 
 
 class TestLeanRefine:
