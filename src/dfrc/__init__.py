@@ -17,14 +17,7 @@ from .closed_form import (
     optimal_received_power,
     solve_closed_form,
 )
-from .metrics import (
-    BeamPattern,
-    beam_pattern,
-    capacity_from_covariance,
-    channel_power,
-    default_angle_grid,
-    radar_snr,
-)
+from .metrics import BeamPattern, beam_pattern, default_angle_grid
 from .model import (
     ArrayGeometry,
     InfeasibleRadarRequirement,
@@ -71,15 +64,12 @@ __all__ = [
     "beam_pattern",
     "beampattern_sweep",
     "capacity_closed_form",
-    "capacity_from_covariance",
-    "channel_power",
     "classify_case",
     "default_angle_grid",
     "default_loss_grid_db",
     "grid_search_oracle",
     "kkt_check",
     "optimal_received_power",
-    "radar_snr",
     "random_falsifier",
     "resolve_radar_spec",
     "run_verification",

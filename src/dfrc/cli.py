@@ -16,7 +16,6 @@ import numpy as np
 import yaml
 
 from .closed_form import solve_closed_form
-from .metrics import radar_snr
 from .model import (
     ArrayGeometry,
     InfeasibleRadarRequirement,
@@ -100,6 +99,15 @@ def _number(block: dict, section: str, key: str, default=None):
     return value
 
 
+def _integer(block: dict, section: str, key: str, default=None) -> int:
+    value = block.get(key, default)
+    if value is None:
+        raise ConfigError(f"config is missing '{section}.{key}'")
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"'{section}.{key}' must be an integer, got {value!r}")
+    return value
+
+
 def _number_list(values, name: str) -> list:
     """``values`` if it is a nonempty list of numbers; ``name`` is its config key."""
     if not isinstance(values, list) or not values:
@@ -118,9 +126,7 @@ def build_scenario(config: dict, user_angle_deg=None) -> Scenario:
     (line of sight) or from 'channel' as [[re, im], ...] entries.
     """
     sc = _section(config, "scenario")
-    m = _number(sc, "scenario", "num_antennas")
-    if not isinstance(m, int):
-        raise ConfigError(f"'scenario.num_antennas' must be an integer, got {m!r}")
+    m = _integer(sc, "scenario", "num_antennas")
     spacing = float(_number(sc, "scenario", "spacing_over_wavelength", 0.5))
     target_deg = float(_number(sc, "scenario", "target_angle_deg"))
     power = float(_number(sc, "scenario", "power", 1.0))
@@ -239,8 +245,13 @@ def cmd_solve(args) -> int:
     scenario = build_scenario(config)
     gamma = resolve_gamma(config, scenario)
     solution = solve_closed_form(scenario, gamma)
-    achieved = radar_snr(solution.covariance, scenario)
     spec = resolve_radar_spec(RadarSnrSpec(gamma=gamma), scenario)
+    # every printed number is a scalar function of the beam c; c c^H is
+    # never formed
+    c = solution.vector_c
+    ac = np.vdot(scenario.target_steering, c)
+    target_power = float(ac.real * ac.real + ac.imag * ac.imag)
+    achieved = resolve_radar_spec(RadarSnrSpec(gamma=target_power), scenario)
     lines = [
         f"case: {solution.case.value}",
         f"gamma: {gamma:.17g}",
@@ -248,8 +259,8 @@ def cmd_solve(args) -> int:
         f"coeff_a: {solution.coeff_a.real:.17g}{solution.coeff_a.imag:+.17g}j",
         f"coeff_b: {solution.coeff_b.real:.17g}{solution.coeff_b.imag:+.17g}j",
         f"capacity_bits: {solution.capacity_bits:.17g}",
-        f"radar_snr: {achieved:.17g}",
-        f"trace: {float(np.trace(solution.covariance).real):.17g}",
+        f"radar_snr: {achieved.snr_threshold:.17g}",
+        f"trace: {float(np.sum(c * c.conj()).real):.17g}",
     ]
     _emit_text("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -300,14 +311,14 @@ def cmd_verify(args) -> int:
     gamma = resolve_gamma(config, scenario)
     vb = _section(config, "verify", required=False)
     resolution = args.resolution
-    if resolution is None:
-        resolution = vb.get("resolution")
+    if resolution is None and vb.get("resolution") is not None:
+        resolution = _integer(vb, "verify", "resolution")
     trials = args.trials
     if trials is None:
-        trials = int(vb.get("trials", DEFAULT_TRIALS))
+        trials = _integer(vb, "verify", "trials", DEFAULT_TRIALS)
     seed = args.seed
     if seed is None:
-        seed = int(vb.get("seed", DEFAULT_SEED))
+        seed = _integer(vb, "verify", "seed", DEFAULT_SEED)
     report = run_verification(
         scenario, gamma, resolution=resolution, trials=trials, seed=seed
     )

@@ -5,11 +5,15 @@ the power budget and target-direction power a_t^H R a_t at least gamma. The
 optimum is rank one, R = c c^H with c a combination of the channel h and the
 target steering vector a_t; everything below is closed form in the three
 scalars ||h||^2, ||a_t||^2 and h^H a_t.
+
+:func:`solve_closed_form` returns a :class:`BeamformerSolution`: the regime,
+the weights on h and a_t, the beam c itself and the capacity. Everything
+else is a scalar function of c, so no M x M matrix is formed;
+:func:`assemble_covariance` builds c c^H for a caller that wants it.
 """
 
 import cmath
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -50,9 +54,10 @@ class BeamformerSolution:
     None when the constraint is slack or the channel is (numerically)
     parallel to the steering vector.
 
-    ``covariance``, the read-only outer product ``c c^H``, is not a field: it
-    is formed on first access and kept, so a caller that never reads it
-    never pays for the M x M matrix.
+    Every reported quantity is a scalar function of ``vector_c``: its power
+    is ||c||^2, the target power |a_t^H c|^2 and the received power
+    |h^H c|^2. The covariance c c^H is never formed here;
+    :func:`assemble_covariance` builds it for a caller that needs the matrix.
     """
 
     case: CaseTag
@@ -62,10 +67,6 @@ class BeamformerSolution:
     capacity_bits: float
     eta: float | None = None
     beta: float | None = None
-
-    @functools.cached_property
-    def covariance(self) -> np.ndarray:
-        return assemble_covariance(self.vector_c)
 
 
 def classify_case(scenario: Scenario, gamma: float) -> CaseTag:
@@ -96,21 +97,28 @@ def assemble_covariance(vector_c: np.ndarray) -> np.ndarray:
     return r
 
 
-def _case_and_received_power(scenario: Scenario, gamma: float) -> tuple[CaseTag, float]:
-    """Regime at ``gamma`` and the optimal h^H R h there, classifying once."""
+def _case_and_received_power(scenario: Scenario, gamma: float):
+    """Regime at ``gamma``, the optimal h^H R h there, and the discriminant.
+
+    The discriminant is None below the threshold; otherwise it is the
+    triple (slack, denom, beta): slack = P M - gamma, denom = ||h||^2 M -
+    |h^H a_t|^2 and beta = slack * denom, each clamped at zero to absorb
+    float dust at the upper boundary and at collinearity.
+    """
     tag = classify_case(scenario, gamma)
     if tag is CaseTag.INFEASIBLE:
         raise InfeasibleRadarRequirement(gamma, scenario.max_target_power)
     hh = scenario.channel_norm_sq
     power = scenario.power_budget
     if tag is CaseTag.BELOW_THRESHOLD:
-        return tag, power * hh
+        return tag, power * hh, None
     aa = scenario.steering_norm_sq
     gabs = abs(scenario.cross_gain)
-    # clamps absorb float dust at the upper boundary and at collinearity
-    beta = max(power * aa - gamma, 0.0) * max(hh * aa - gabs * gabs, 0.0)
+    slack = max(power * aa - gamma, 0.0)
+    denom = max(hh * aa - gabs * gabs, 0.0)
+    beta = slack * denom
     root = math.sqrt(gamma) * gabs + math.sqrt(beta)
-    return tag, root * root / (aa * aa)
+    return tag, root * root / (aa * aa), (slack, denom, beta)
 
 
 def optimal_received_power(scenario: Scenario, gamma: float) -> float:
@@ -133,33 +141,25 @@ def solve_closed_form(scenario: Scenario, gamma: float) -> BeamformerSolution:
     threshold exactly when the constraint binds. Phases are pinned: coeff_b
     is real nonnegative and coeff_a carries the phase of h^H a_t (zero when
     that inner product is exactly zero), making the output deterministic.
-    The covariance c c^H is only formed if the caller reads it.
+    Only the vector c is formed, never the M x M covariance c c^H.
     """
-    tag, received = _case_and_received_power(scenario, gamma)
+    tag, received, discriminant = _case_and_received_power(scenario, gamma)
     hh = scenario.channel_norm_sq
     aa = scenario.steering_norm_sq
-    power = scenario.power_budget
-    g = scenario.cross_gain
-    gabs = abs(g)
     eta = beta = None
 
-    matched = tag is CaseTag.BELOW_THRESHOLD
-    if not matched:
-        denom = hh * aa - gabs * gabs
-        if denom <= BOUNDARY_RTOL * hh * aa:
-            # channel numerically parallel to the steering vector: the matched
-            # beam already delivers the full array gain at the target
-            matched = True
-
-    if matched:
-        a = complex(math.sqrt(power / hh))
+    # below the threshold, or with the channel numerically parallel to the
+    # steering vector, the matched beam already meets the constraint
+    if discriminant is None or discriminant[1] <= BOUNDARY_RTOL * hh * aa:
+        a = complex(math.sqrt(scenario.power_budget / hh))
         b = complex(0.0)
     else:
-        eta = math.sqrt(max(power * aa - gamma, 0.0) / denom)
-        beta = max(power * aa - gamma, 0.0) * denom
+        slack, denom, beta = discriminant
+        eta = math.sqrt(slack / denom)
+        g = scenario.cross_gain
         # nonnegative by construction; the clamp absorbs dust at the lower
         # case boundary where |b| -> 0
-        b_mag = max(math.sqrt(gamma) / aa - gabs * eta / aa, 0.0)
+        b_mag = max(math.sqrt(gamma) / aa - abs(g) * eta / aa, 0.0)
         phase = cmath.phase(g) if g != 0 else 0.0
         a = eta * cmath.exp(1j * phase)
         b = complex(b_mag)

@@ -1,8 +1,9 @@
-"""Performance evaluators on an arbitrary transmit covariance.
+"""Transmit beam patterns on a uniform linear array.
 
-These take any Hermitian PSD covariance, not just the closed-form optimum,
-so the verification oracles and sweeps can score candidate designs with the
-same code paths.
+:func:`beam_pattern` evaluates a(phi)^H R a(phi) over a grid of directions
+for any Hermitian PSD covariance R, not just the rank-one optimum. The
+blocked steering projections behind it are shared with the beam-pattern
+sweep, which projects h and a_t once instead of forming c c^H.
 """
 
 import math
@@ -10,16 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ArrayGeometry, Scenario
+from .model import ArrayGeometry
 
-__all__ = [
-    "BeamPattern",
-    "beam_pattern",
-    "capacity_from_covariance",
-    "channel_power",
-    "default_angle_grid",
-    "radar_snr",
-]
+__all__ = ["BeamPattern", "beam_pattern", "default_angle_grid"]
 
 # 0.25 degree steps over [-90, 90]
 DEFAULT_PATTERN_POINTS = 721
@@ -41,49 +35,6 @@ class BeamPattern:
 
     angles: np.ndarray
     power: np.ndarray
-
-
-def _as_covariance(covariance, dim: int) -> np.ndarray:
-    r = np.asarray(covariance, dtype=np.complex128)
-    if r.shape != (dim, dim):
-        raise ValueError(f"covariance must have shape ({dim}, {dim}), got {r.shape}")
-    return r
-
-
-def channel_power(covariance, channel) -> float:
-    """Received signal power h^H R h (real for Hermitian R)."""
-    h = np.asarray(channel, dtype=np.complex128)
-    if h.ndim != 1:
-        raise ValueError(f"channel must be 1-D, got shape {h.shape}")
-    r = _as_covariance(covariance, h.size)
-    return float(np.vdot(h, r @ h).real)
-
-
-def capacity_from_covariance(covariance, channel) -> float:
-    """Spectral efficiency log2(1 + h^H R h) in bits (noise power 1)."""
-    return math.log2(1.0 + max(channel_power(covariance, channel), 0.0))
-
-
-def radar_snr(covariance, scenario: Scenario, weights=None) -> float:
-    """Radar output SNR after receive beamforming (noise power 1).
-
-    With the default matched weights this reduces to
-    target_amplitude^2 * ||a_r||^2 * (a_t^H R a_t). Explicit ``weights``
-    must be unit norm to 1e-9.
-    """
-    at = scenario.target_steering
-    r = _as_covariance(covariance, at.size)
-    target_power = float(np.vdot(at, r @ at).real)
-    amp_sq = scenario.target_amplitude**2
-    if weights is None:
-        return amp_sq * scenario.steering_norm_sq * target_power
-    w = np.asarray(weights, dtype=np.complex128)
-    if w.shape != at.shape:
-        raise ValueError(f"weights must have shape {at.shape}, got {w.shape}")
-    wnorm_sq = float(np.vdot(w, w).real)
-    if abs(wnorm_sq - 1.0) > 1e-9:
-        raise ValueError(f"receive weights must be unit norm, got ||w||^2 = {wnorm_sq!r}")
-    return amp_sq * abs(np.vdot(w, at)) ** 2 * target_power / wnorm_sq
 
 
 def default_angle_grid() -> np.ndarray:
@@ -156,7 +107,10 @@ def beam_pattern(covariance, geometry: ArrayGeometry, angle_grid=None) -> BeamPa
     raise, since they mean the covariance is not PSD.
     """
     angles = _pattern_angles(angle_grid)
-    r = _as_covariance(covariance, geometry.num_antennas)
+    m = geometry.num_antennas
+    r = np.asarray(covariance, dtype=np.complex128)
+    if r.shape != (m, m):
+        raise ValueError(f"covariance must have shape ({m}, {m}), got {r.shape}")
     t = _diagonal_sums(r)
     (projection,) = _steering_projections(geometry, angles, t)
     power = 2.0 * projection.real - t[0].real

@@ -6,14 +6,13 @@ capacity and operating regime. Beam-pattern sweeps tabulate the transmit
 power versus direction for a handful of loss values; the optimum is rank
 one, so each pattern comes from two steering projections, made a block of
 angles at a time. CSV output is deterministic: fixed header,
-17-significant-digit floats, '.' decimal separator, LF line endings.
-Tradeoff rows go through ``emit_csv``, which checks every field and quotes
-strings as the csv module does; beam-pattern rows hold only numbers, so
-their lines are joined directly, with the same bytes.
+17-significant-digit floats, '.' decimal separator, LF line endings. Both
+writers format their rows to text lines themselves and hand them to
+``emit_csv``, the one function that writes a CSV file. No field is ever
+quoted: every field is a number, except the tradeoff file's fixed
+``CaseTag`` value, which holds no comma, quote or line break.
 """
 
-import csv
-import io
 import math
 import os
 import stat
@@ -78,7 +77,7 @@ def tradeoff_sweep(scenario: Scenario, losses_db=None) -> list[TradeoffPoint]:
     # last bit (numpy's power and log2 are not libm's), changing CSV bytes
     for loss in grid.tolist():
         gamma = resolve_radar_spec(RadarSnrSpec(snr_loss_db=loss), scenario).gamma
-        case, received = _case_and_received_power(scenario, gamma)
+        case, received, _ = _case_and_received_power(scenario, gamma)
         points.append(
             TradeoffPoint(
                 snr_loss_db=loss,
@@ -124,15 +123,14 @@ def _format_float(value: float) -> str:
 
 # keyed on the exact type, so that bool (an int subclass) is rejected
 _NUMBER_FORMATTERS = {int: str, float: _format_float}
-_FORMATTERS = {str: str, **_NUMBER_FORMATTERS}
 
 
-def _format_field(value, formatters=_FORMATTERS) -> str:
+def _format_field(value) -> str:
     # a numpy scalar is written as the Python value it holds; np.bool_ holds
     # a bool and is rejected with every other type
     native = value.item() if isinstance(value, np.generic) else value
     try:
-        formatter = formatters[type(native)]
+        formatter = _NUMBER_FORMATTERS[type(native)]
     except KeyError:
         raise TypeError(f"unsupported CSV field type: {value!r}") from None
     return formatter(native)
@@ -154,8 +152,17 @@ def _overwrite(path, data: bytes) -> None:
             fh.truncate()
 
 
-def _write_text(text: str, destination) -> Path:
+def emit_csv(lines, header, destination) -> Path:
+    """Write the ``header`` names, then ``lines``; returns the path.
+
+    ``lines`` yields one row at a time, already formatted and joined with
+    commas; the writers pass generators, so their formatting runs here.
+    Every line, the last included, ends in LF regardless of platform; the
+    ASCII text is written at once over any old bytes, and only after every
+    line is formatted. I/O errors are re-raised with the path.
+    """
     path = Path(destination)
+    text = "\n".join([",".join(header), *lines, ""])
     try:
         _overwrite(path, text.encode("ascii"))
     except OSError as exc:
@@ -163,38 +170,17 @@ def _write_text(text: str, destination) -> Path:
     return path
 
 
-def emit_csv(rows, header, destination) -> Path:
-    """Write rows to ``destination`` deterministically; returns the path.
-
-    Fields are str, int or float (or numpy scalars of those). Floats carry
-    17 significant digits (lossless round trip), strings are quoted as the
-    csv module does, lines end in LF regardless of platform. The text is
-    formatted in memory and written at once. I/O errors are re-raised with
-    the path.
-    """
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_format_field(v) for v in row] for row in rows)
-    return _write_text(text.getvalue(), destination)
-
-
 def write_tradeoff_csv(points, destination) -> Path:
     """Emit tradeoff points with columns snr_loss_db,gamma,capacity_bits,case."""
-    rows = (
-        (p.snr_loss_db, p.gamma, p.capacity_bits, p.case.value) for p in points
+    lines = (
+        f"{_format_field(p.snr_loss_db)},{_format_field(p.gamma)},"
+        f"{_format_field(p.capacity_bits)},{p.case.value}"
+        for p in points
     )
-    return emit_csv(rows, TRADEOFF_HEADER, destination)
+    return emit_csv(lines, TRADEOFF_HEADER, destination)
 
 
-def write_beampattern_csv(patterns, destination) -> Path:
-    """Emit (loss, pattern) pairs in long form: snr_loss_db,angle_deg,power.
-
-    Every field is a number, so no field needs csv quoting: the lines are
-    joined directly and written at once, with the same bytes as
-    :func:`emit_csv` would give.
-    """
-    lines = [",".join(BEAMPATTERN_HEADER)]
+def _beampattern_lines(patterns):
     angles = None
     for loss, pattern in patterns:
         # the patterns of one sweep share their angle grid: format it once
@@ -203,10 +189,13 @@ def write_beampattern_csv(patterns, destination) -> Path:
             degrees = [_format_float(math.degrees(a)) for a in angles.tolist()]
         if pattern.power.dtype.kind != "f":
             raise TypeError(f"pattern power must be floats, got {pattern.power.dtype}")
-        prefix = _format_field(loss, _NUMBER_FORMATTERS) + ","
-        lines.extend(
+        prefix = _format_field(loss) + ","
+        yield from (
             f"{prefix}{angle},{power:.17g}"
             for angle, power in zip(degrees, pattern.power.tolist())
         )
-    lines.append("")
-    return _write_text("\n".join(lines), destination)
+
+
+def write_beampattern_csv(patterns, destination) -> Path:
+    """Emit (loss, pattern) pairs in long form: snr_loss_db,angle_deg,power."""
+    return emit_csv(_beampattern_lines(patterns), BEAMPATTERN_HEADER, destination)

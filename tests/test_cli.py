@@ -3,12 +3,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import dfrc
+import dfrc.cli as cli_mod
 from dfrc.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -31,6 +35,20 @@ REFERENCE = {
     },
     "radar": {"gamma": 5.0},
 }
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the README's `dfrc solve` block for configs/reference.yaml
+REFERENCE_SOLVE_STDOUT = """\
+case: active
+gamma: 5
+snr_loss_db: -3.0102999566398121
+coeff_a: 0.15971914124998507+0.1597191412499849j
+coeff_b: 0.19166296949998199+0j
+capacity_bits: 2.887525270741587
+radar_snr: 50.000000000000007
+trace: 1
+"""
 
 
 def child_env():
@@ -234,6 +252,102 @@ class TestSolveCommand:
             for line in capsys.readouterr().out.strip().splitlines()
         )
         assert float(fields["gamma"]) == pytest.approx(5.0, rel=1e-12)
+
+
+def _radar_corpus_scenario(seed):
+    """Seeded scenario and gamma: M up to 600, LoS or Rayleigh, any regime."""
+    rng = np.random.default_rng([13, seed])
+    m = int(rng.integers(1, 601))
+    geometry = dfrc.ArrayGeometry(m, float(rng.choice([0.25, 0.5, 0.7])))
+    target = float(rng.uniform(-1.4, 1.4))
+    power = float(10.0 ** rng.uniform(-2.0, 3.0))
+    amplitude = float(10.0 ** rng.uniform(-1.0, 1.0))
+    if seed % 2:
+        user = float(rng.uniform(-1.57, 1.57))
+        sc = dfrc.Scenario.with_los_user(geometry, target, user, power, amplitude)
+    else:
+        h = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * 10.0 ** rng.uniform(-3, 3)
+        sc = dfrc.Scenario(geometry, target, h, power, amplitude)
+    fraction = (0.0, float(rng.uniform(0.0, 1.0)), 1.0)[seed % 3]
+    return sc, fraction * sc.max_target_power
+
+
+def _printed_radar_snr(monkeypatch, capsys, config, sc, gamma):
+    # the real `dfrc solve` path, handed the scenario without a YAML round trip
+    monkeypatch.setattr(cli_mod, "build_scenario", lambda config: sc)
+    monkeypatch.setattr(cli_mod, "resolve_gamma", lambda config, scenario: gamma)
+    assert main(["solve", "--config", str(config)]) == EXIT_OK
+    fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    return float(fields["radar_snr"]), fields
+
+
+def _exact_target_power(at, c) -> Fraction:
+    # |a_t^H c|^2 of the float vectors in exact rational arithmetic
+    re = im = Fraction(0)
+    for x, y in zip(at.tolist(), c.tolist()):
+        xr, xi, yr, yi = map(Fraction, (x.real, x.imag, y.real, y.imag))
+        re += xr * yr + xi * yi
+        im += xr * yi - xi * yr
+    return re * re + im * im
+
+
+class TestRankOneSolve:
+    """`dfrc solve` reads every printed number off the beam c."""
+
+    def test_reference_config_stdout_is_frozen(self, capsys):
+        rc = main(["solve", "--config", str(ROOT / "configs" / "reference.yaml")])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out == REFERENCE_SOLVE_STDOUT
+        assert "```\n" + REFERENCE_SOLVE_STDOUT + "```" in (ROOT / "README.md").read_text()
+
+    def test_radar_snr_matches_covariance_reference(self, tmp_path, monkeypatch, capsys):
+        # reference: target_amplitude^2 * M * a_t^H (c c^H) a_t from the full
+        # covariance. Both forms round |a_t^H c| with an absolute error of
+        # about eps * ||a_t|| ||c||, so their relative difference scales with
+        # kappa = sqrt(P M / |a_t^H c|^2), 1 for a beam straight at the target
+        config = write_config(tmp_path)
+        for seed in range(240):
+            sc, gamma = _radar_corpus_scenario(seed)
+            got, fields = _printed_radar_snr(monkeypatch, capsys, config, sc, gamma)
+            c = dfrc.solve_closed_form(sc, gamma).vector_c
+            at = sc.target_steering
+            covariance = np.outer(c, c.conj())
+            target_power = float(np.vdot(at, covariance @ at).real)
+            ref = sc.target_amplitude**2 * sc.steering_norm_sq * target_power
+            kappa = math.sqrt(sc.max_target_power / target_power)
+            assert abs(got - ref) <= 1e-14 * kappa * ref, (seed, got, ref, kappa)
+            assert float(fields["trace"]) == float(np.trace(covariance).real)
+
+    def test_radar_snr_close_to_exact_when_ill_conditioned(self, tmp_path, monkeypatch, capsys):
+        # where the two forms differ most, the beam-based value is within its
+        # own rounding bound of the exact |a_t^H c|^2
+        config = write_config(tmp_path)
+        checked = 0
+        for seed in range(240):
+            sc, gamma = _radar_corpus_scenario(seed)
+            c = dfrc.solve_closed_form(sc, gamma).vector_c
+            if sc.max_target_power < 100.0 * abs(np.vdot(sc.target_steering, c)) ** 2:
+                continue
+            exact_tp = _exact_target_power(sc.target_steering, c)
+            kappa = math.sqrt(sc.max_target_power / float(exact_tp))
+            got, _ = _printed_radar_snr(monkeypatch, capsys, config, sc, gamma)
+            exact = float(Fraction(sc.target_amplitude**2 * sc.steering_norm_sq) * exact_tp)
+            assert abs(got - exact) <= 1e-14 * kappa * exact, (seed, got, exact, kappa)
+            checked += 1
+        assert checked >= 10
+
+    def test_large_array_memory(self, tmp_path, capsys):
+        # c c^H alone would take 256 MiB at M = 4,096
+        path = write_config(tmp_path, {"scenario": {"num_antennas": 4096}})
+        tracemalloc.start()
+        try:
+            rc = main(["solve", "--config", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out.startswith("case: ")
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestSweepCommand:
@@ -452,6 +566,37 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("trials", [1]),
+            ("seed", [1]),
+            ("trials", 2.7),
+            ("trials", True),
+            ("seed", 1.0),
+            ("resolution", "abc"),
+            ("resolution", 2.5),
+            ("resolution", [1]),
+        ],
+        ids=repr,
+    )
+    def test_non_integer_setting_is_usage_error(self, tmp_path, capsys, key, value):
+        settings = {"resolution": 129, "trials": 500, key: value}
+        path = write_config(tmp_path, {"verify": settings})
+        rc = main(["verify", "--config", str(path)])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: 'verify.{key}' must be an integer, got {value!r}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", [10.0, "10", True, [10]], ids=repr)
+    def test_non_integer_antenna_count_is_usage_error(self, tmp_path, capsys, value):
+        path = write_config(tmp_path, {"scenario": {"num_antennas": value}})
+        assert main(["solve", "--config", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: 'scenario.num_antennas' must be an integer, got {value!r}\n"
+        )
 
     def test_console_script_runs(self, tmp_path):
         path = write_config(

@@ -11,11 +11,10 @@ from dfrc import (
     Scenario,
     assemble_covariance,
     capacity_closed_form,
-    capacity_from_covariance,
-    channel_power,
     classify_case,
     optimal_received_power,
     solve_closed_form,
+    steering_vector,
 )
 
 
@@ -171,7 +170,7 @@ class TestSolveClosedForm:
             sc = make_random_scenario(rng)
             gamma = float(rng.uniform(0.0, sc.max_target_power))
             sol = solve_closed_form(sc, gamma)
-            trace = float(np.trace(sol.covariance).real)
+            trace = float(np.trace(assemble_covariance(sol.vector_c)).real)
             assert trace == pytest.approx(sc.power_budget, rel=1e-9)
 
     def test_threshold_met_exactly_when_active(self, make_random_scenario):
@@ -182,7 +181,8 @@ class TestSolveClosedForm:
             gamma = float(rng.uniform(0.0, sc.max_target_power))
             sol = solve_closed_form(sc, gamma)
             at = sc.target_steering
-            delivered = float(np.vdot(at, sol.covariance @ at).real)
+            r = assemble_covariance(sol.vector_c)
+            delivered = float(np.vdot(at, r @ at).real)
             assert delivered >= gamma * (1 - 1e-9)
             if sol.case is CaseTag.ACTIVE and sol.eta is not None:
                 # active constraint binds exactly (algebraic identity)
@@ -196,29 +196,30 @@ class TestSolveClosedForm:
             sc = make_random_scenario(rng)
             gamma = float(rng.uniform(0.0, sc.max_target_power))
             sol = solve_closed_form(sc, gamma)
-            assert capacity_from_covariance(sol.covariance, sc.channel) == pytest.approx(
-                sol.capacity_bits, rel=1e-12
-            )
+            r = assemble_covariance(sol.vector_c)
+            received = float(np.vdot(sc.channel, r @ sc.channel).real)
+            assert math.log2(1.0 + received) == pytest.approx(sol.capacity_bits, rel=1e-12)
 
     def test_covariance_rank_one_psd(self, reference_scenario):
         sol = solve_closed_form(reference_scenario, 5.0)
-        evals = np.linalg.eigvalsh(sol.covariance)
+        r = assemble_covariance(sol.vector_c)
+        evals = np.linalg.eigvalsh(r)
         assert evals[-1] == pytest.approx(reference_scenario.power_budget, rel=1e-12)
         assert np.all(evals[:-1] < 1e-12)
         np.testing.assert_allclose(
-            sol.covariance, np.outer(sol.vector_c, sol.vector_c.conj()), atol=1e-15
+            r, np.outer(sol.vector_c, sol.vector_c.conj()), atol=1e-15
         )
 
     def test_global_phase_invariance(self, reference_scenario):
         sc = reference_scenario
         sol = solve_closed_form(sc, 5.0)
+        r0 = assemble_covariance(sol.vector_c)
+        h = sc.channel
         for alpha in (0.3, 1.7, -2.2):
             rotated = cmath.exp(1j * alpha) * sol.vector_c
             r = assemble_covariance(rotated)
-            np.testing.assert_allclose(r, sol.covariance, atol=1e-13)
-            assert channel_power(r, sc.channel) == pytest.approx(
-                channel_power(sol.covariance, sc.channel), rel=1e-12
-            )
+            np.testing.assert_allclose(r, r0, atol=1e-13)
+            assert np.vdot(h, r @ h).real == pytest.approx(np.vdot(h, r0 @ h).real, rel=1e-12)
 
     def test_parallel_channel_any_feasible_gamma(self, parallel_scenario):
         sc = parallel_scenario
@@ -233,7 +234,7 @@ class TestSolveClosedForm:
             )
             assert sol.capacity_bits == pytest.approx(math.log2(11.0), rel=1e-12)
             at = sc.target_steering
-            delivered = float(np.vdot(at, sol.covariance @ at).real)
+            delivered = abs(np.vdot(at, sol.vector_c)) ** 2
             assert delivered >= gamma * (1 - 1e-9)
 
     def test_orthogonal_at_max_gamma_steers_everything(self, orthogonal_scenario):
@@ -263,25 +264,22 @@ class TestSolveClosedForm:
         with pytest.raises(ValueError):
             sol.vector_c[0] = 0.0
         with pytest.raises(ValueError):
-            sol.covariance[0, 0] = 0.0
+            assemble_covariance(sol.vector_c)[0, 0] = 0.0
 
 
 class TestLazyCovariance:
-    def test_formed_on_first_access_and_kept(self, reference_scenario):
-        sol = solve_closed_form(reference_scenario, 5.0)
-        assert "covariance" not in vars(sol)
-        r = sol.covariance
-        np.testing.assert_array_equal(r, assemble_covariance(sol.vector_c))
-        assert sol.covariance is r
+    """c c^H is formed only when a caller asks assemble_covariance for it."""
 
     def test_replace_derives_from_new_vector(self, reference_scenario):
+        # the solution holds nothing derived from c beyond its fields, so a
+        # replaced beam (as verify's perturbation makes) leaves nothing stale
         import dataclasses
 
         sol = solve_closed_form(reference_scenario, 5.0)
-        _ = sol.covariance
         c = np.array(sol.vector_c) * 1j
         moved = dataclasses.replace(sol, vector_c=c)
-        np.testing.assert_array_equal(moved.covariance, np.outer(c, c.conj()))
+        assert set(vars(moved)) == {f.name for f in dataclasses.fields(sol)}
+        np.testing.assert_array_equal(assemble_covariance(moved.vector_c), np.outer(c, c.conj()))
 
     def test_huge_array_needs_no_covariance(self):
         # c c^H would take 149 GiB here; nothing on the solve path forms it
@@ -289,7 +287,7 @@ class TestLazyCovariance:
         sc = Scenario.with_los_user(ArrayGeometry(m, 0.5), 0.3, -0.2, 2.0)
         gamma = 0.5 * sc.max_target_power
         sol = solve_closed_form(sc, gamma)
-        assert "covariance" not in vars(sol)
+        assert not hasattr(sol, "covariance")
         assert sol.case is CaseTag.ACTIVE
         assert sol.capacity_bits == capacity_closed_form(sc, gamma)
         c = sol.vector_c
@@ -312,3 +310,77 @@ class TestAssembleCovariance:
     def test_rejects_matrix_input(self):
         with pytest.raises(ValueError):
             assemble_covariance(np.eye(3, dtype=complex))
+
+
+def _frozen_solve(scenario, gamma):
+    """The solver's scalar algebra as a standalone copy, discriminant formed twice.
+
+    Returns (a, b, eta, beta, received) for a feasible ``gamma``.
+    """
+    hh = scenario.channel_norm_sq
+    aa = scenario.steering_norm_sq
+    power = scenario.power_budget
+    g = scenario.cross_gain
+    gabs = abs(g)
+    tag = classify_case(scenario, gamma)
+    if tag is CaseTag.BELOW_THRESHOLD:
+        received = power * hh
+    else:
+        beta = max(power * aa - gamma, 0.0) * max(hh * aa - gabs * gabs, 0.0)
+        root = math.sqrt(gamma) * gabs + math.sqrt(beta)
+        received = root * root / (aa * aa)
+    eta = beta = None
+    matched = tag is CaseTag.BELOW_THRESHOLD
+    if not matched:
+        denom = hh * aa - gabs * gabs
+        matched = denom <= 1e-12 * hh * aa
+    if matched:
+        return complex(math.sqrt(power / hh)), 0j, eta, beta, received
+    eta = math.sqrt(max(power * aa - gamma, 0.0) / denom)
+    beta = max(power * aa - gamma, 0.0) * denom
+    b_mag = max(math.sqrt(gamma) / aa - gabs * eta / aa, 0.0)
+    phase = cmath.phase(g) if g != 0 else 0.0
+    return eta * cmath.exp(1j * phase), complex(b_mag), eta, beta, received
+
+
+def _solve_corpus():
+    rng = np.random.default_rng(2024)
+    geometry = ArrayGeometry(10, 0.5)
+    target = math.radians(-30.0)
+    cases = []
+    for user_deg in (-30.0, 30.0, 0.0, -29.999999):  # parallel, orthogonal, generic, near-parallel
+        sc = Scenario.with_los_user(geometry, target, math.radians(user_deg), 1.0)
+        cases.append(sc)
+    # denom / (||h||^2 M) at 0.75e-12 and 1.5e-12, either side of the
+    # collinearity threshold: a_t plus a small component orthogonal to it
+    a_t = steering_vector(geometry, target)
+    orthogonal = steering_vector(geometry, math.radians(30.0))
+    for ratio in (0.75e-12, 1.5e-12):
+        cases.append(Scenario(geometry, target, a_t + math.sqrt(ratio) * orthogonal, 1.0))
+    for _ in range(60):
+        m = int(rng.integers(1, 65))
+        h = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * 10.0 ** rng.uniform(-50, 50)
+        power = float(10.0 ** rng.uniform(-3, 3))
+        cases.append(Scenario(ArrayGeometry(m, 0.5), float(rng.uniform(-1.5, 1.5)), h, power))
+    for sc in cases:
+        g_free, g_max = sc.free_target_power, sc.max_target_power
+        for gamma in (0.0, g_free * (1 - 1e-12), g_free, g_free * (1 + 1e-13),
+                      0.5 * (g_free + g_max), g_max * (1 - 1e-15), g_max):
+            if gamma <= g_max * (1 + 1e-12):
+                yield sc, gamma
+
+
+class TestDiscriminantFormedOnce:
+    def test_same_bits_as_two_pass_algebra(self):
+        seen = set()
+        for sc, gamma in _solve_corpus():
+            sol = solve_closed_form(sc, gamma)
+            a, b, eta, beta, received = _frozen_solve(sc, gamma)
+            got = (sol.coeff_a, sol.coeff_b, sol.eta, sol.beta, sol.capacity_bits)
+            assert repr(got) == repr((a, b, eta, beta, math.log2(1.0 + received)))
+            assert repr(optimal_received_power(sc, gamma)) == repr(received)
+            seen.add((sol.case, sol.eta is None))
+        # slack, binding with a split beam, binding with the matched beam
+        assert seen == {
+            (CaseTag.BELOW_THRESHOLD, True), (CaseTag.ACTIVE, False), (CaseTag.ACTIVE, True)
+        }

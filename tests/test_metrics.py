@@ -6,10 +6,8 @@ import pytest
 from dfrc import (
     ArrayGeometry,
     Scenario,
+    assemble_covariance,
     beam_pattern,
-    capacity_from_covariance,
-    channel_power,
-    radar_snr,
     solve_closed_form,
     steering_vector,
 )
@@ -20,81 +18,6 @@ from dfrc.metrics import (
     _steering_projections,
     default_angle_grid,
 )
-
-
-def random_psd(rng, m, trace):
-    x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    r = x @ x.conj().T
-    return r * (trace / np.trace(r).real)
-
-
-class TestChannelPower:
-    def test_direct_quadratic_form(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            m = int(rng.integers(2, 9))
-            r = random_psd(rng, m, 2.0)
-            h = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            # naive double loop
-            direct = 0j
-            for i in range(m):
-                for j in range(m):
-                    direct += np.conj(h[i]) * r[i, j] * h[j]
-            assert channel_power(r, h) == pytest.approx(direct.real, rel=1e-12)
-            assert abs(direct.imag) < 1e-9
-
-    def test_capacity_log(self):
-        r = np.eye(3, dtype=complex) * 2.0
-        h = np.array([1.0, 1.0j, -1.0])
-        assert capacity_from_covariance(r, h) == pytest.approx(
-            math.log2(1.0 + 6.0), rel=1e-14
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            channel_power(np.eye(3, dtype=complex), np.ones(4, dtype=complex))
-
-
-class TestRadarSnr:
-    def test_reference_value(self, reference_scenario):
-        sol = solve_closed_form(reference_scenario, 5.0)
-        # amp^2 * M * gamma with the constraint met exactly
-        assert radar_snr(sol.covariance, reference_scenario) == pytest.approx(
-            50.0, rel=1e-9
-        )
-
-    def test_default_weights_equal_explicit_matched(self, reference_scenario):
-        sc = reference_scenario
-        sol = solve_closed_form(sc, 3.0)
-        w = sc.target_steering / np.linalg.norm(sc.target_steering)
-        assert np.vdot(w, w).real == pytest.approx(1.0, rel=1e-14)
-        assert radar_snr(sol.covariance, sc, w) == pytest.approx(
-            radar_snr(sol.covariance, sc), rel=1e-12
-        )
-
-    def test_matched_weights_are_optimal(self, reference_scenario):
-        sc = reference_scenario
-        sol = solve_closed_form(sc, 5.0)
-        best = radar_snr(sol.covariance, sc)
-        rng = np.random.default_rng(42)
-        for _ in range(100):
-            w = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-            w = w / np.linalg.norm(w)
-            assert radar_snr(sol.covariance, sc, w) <= best * (1 + 1e-9)
-
-    def test_amplitude_scaling(self):
-        base = Scenario.with_los_user(ArrayGeometry(10, 0.5), -0.3, 0.1, 1.0, 1.0)
-        doubled = Scenario.with_los_user(ArrayGeometry(10, 0.5), -0.3, 0.1, 1.0, 2.0)
-        sol = solve_closed_form(base, 2.0)
-        assert radar_snr(sol.covariance, doubled) == pytest.approx(
-            4.0 * radar_snr(sol.covariance, base), rel=1e-12
-        )
-
-    def test_non_unit_weights_rejected(self, reference_scenario):
-        sol = solve_closed_form(reference_scenario, 5.0)
-        w = np.ones(10, dtype=complex)
-        with pytest.raises(ValueError):
-            radar_snr(sol.covariance, reference_scenario, w)
 
 
 class TestBeamPattern:
@@ -108,17 +31,17 @@ class TestBeamPattern:
 
     def test_pattern_values_match_quadratic_form(self, reference_scenario):
         sc = reference_scenario
-        sol = solve_closed_form(sc, 5.0)
+        r = assemble_covariance(solve_closed_form(sc, 5.0).vector_c)
         angles = np.deg2rad(np.array([-90.0, -30.0, 0.0, 17.0, 90.0]))
-        pat = beam_pattern(sol.covariance, sc.geometry, angles)
+        pat = beam_pattern(r, sc.geometry, angles)
         for angle, power in zip(pat.angles, pat.power):
             a = steering_vector(sc.geometry, float(angle))
-            expect = float(np.vdot(a, sol.covariance @ a).real)
+            expect = float(np.vdot(a, r @ a).real)
             assert power == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
     def test_nonnegative_everywhere(self, reference_scenario):
-        sol = solve_closed_form(reference_scenario, 7.0)
-        pat = beam_pattern(sol.covariance, reference_scenario.geometry)
+        r = assemble_covariance(solve_closed_form(reference_scenario, 7.0).vector_c)
+        pat = beam_pattern(r, reference_scenario.geometry)
         assert pat.power.min() >= 0.0
 
     def test_uniform_covariance_flat_pattern(self):
@@ -130,8 +53,8 @@ class TestBeamPattern:
     def test_target_value_equals_threshold_when_active(self, reference_scenario):
         sc = reference_scenario
         gamma = 5.0
-        sol = solve_closed_form(sc, gamma)
-        pat = beam_pattern(sol.covariance, sc.geometry, np.array([sc.target_angle]))
+        r = assemble_covariance(solve_closed_form(sc, gamma).vector_c)
+        pat = beam_pattern(r, sc.geometry, np.array([sc.target_angle]))
         assert pat.power[0] == pytest.approx(gamma, rel=1e-9)
 
     def test_rejects_non_psd(self):
@@ -140,13 +63,18 @@ class TestBeamPattern:
         with pytest.raises(ValueError):
             beam_pattern(r, geom)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (16,)])
+    def test_rejects_covariance_of_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match=r"covariance must have shape \(4, 4\)"):
+            beam_pattern(np.zeros(shape, dtype=complex), ArrayGeometry(4, 0.5))
+
     def test_rejects_bad_grid(self, reference_scenario):
-        sol = solve_closed_form(reference_scenario, 5.0)
+        r = assemble_covariance(solve_closed_form(reference_scenario, 5.0).vector_c)
         geom = reference_scenario.geometry
         with pytest.raises(ValueError):
-            beam_pattern(sol.covariance, geom, np.array([]))
+            beam_pattern(r, geom, np.array([]))
         with pytest.raises(ValueError):
-            beam_pattern(sol.covariance, geom, np.array([2.0]))
+            beam_pattern(r, geom, np.array([2.0]))
 
 
 def _exp_steering(geometry, angles):
@@ -225,7 +153,9 @@ class TestBeamPatternRounding:
             x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
             covariance = x @ x.conj().T / m
         else:
-            covariance = solve_closed_form(sc, 0.5 * sc.max_target_power).covariance
+            covariance = assemble_covariance(
+                solve_closed_form(sc, 0.5 * sc.max_target_power).vector_c
+            )
         expect = _quadratic_form_pattern(covariance, geometry)
         got = beam_pattern(covariance, geometry).power
         assert np.max(np.abs(got - expect)) <= 1e-12 * expect.max()

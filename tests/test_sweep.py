@@ -14,6 +14,8 @@ from dfrc import (
     CaseTag,
     RadarSnrSpec,
     Scenario,
+    TradeoffPoint,
+    assemble_covariance,
     beam_pattern,
     beampattern_sweep,
     capacity_closed_form,
@@ -23,11 +25,7 @@ from dfrc import (
     write_beampattern_csv,
     write_tradeoff_csv,
 )
-from dfrc.sweep import (
-    DEFAULT_BEAMPATTERN_LOSSES_DB,
-    default_loss_grid_db,
-    emit_csv,
-)
+from dfrc.sweep import DEFAULT_BEAMPATTERN_LOSSES_DB, default_loss_grid_db
 
 
 class TestTradeoffSweep:
@@ -152,7 +150,7 @@ class TestRankOnePath:
         for loss, pat in beampattern_sweep(sc):
             gamma = resolve_radar_spec(RadarSnrSpec(snr_loss_db=loss), sc).gamma
             sol = solve_closed_form(sc, gamma)
-            ref = beam_pattern(sol.covariance, sc.geometry)
+            ref = beam_pattern(assemble_covariance(sol.vector_c), sc.geometry)
             assert np.array_equal(pat.angles, ref.angles)
             peak = float(ref.power.max())
             assert np.max(np.abs(pat.power - ref.power)) <= 1e-12 * peak
@@ -165,7 +163,7 @@ class TestRankOnePath:
     )
     def test_invalid_angle_grid_raises_like_beam_pattern(self, reference_scenario, grid):
         sc = reference_scenario
-        cov = solve_closed_form(sc, 5.0).covariance
+        cov = assemble_covariance(solve_closed_form(sc, 5.0).vector_c)
         with pytest.raises(ValueError) as expected:
             beam_pattern(cov, sc.geometry, grid)
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
@@ -224,26 +222,24 @@ class TestCsvEmission:
         ).read_bytes()
         assert a == b
 
-    def test_emit_rejects_unknown_types(self, tmp_path):
-        with pytest.raises(TypeError):
-            emit_csv([[object()]], ("x",), tmp_path / "bad.csv")
+    def test_emit_rejects_unknown_types(self, tmp_path, reference_scenario):
+        _assert_both_writers_reject(object(), tmp_path, reference_scenario)
 
     @pytest.mark.parametrize("value", [True, np.bool_(False), 1 + 2j, None])
-    def test_emit_rejects_bools_and_non_reals(self, tmp_path, value):
-        with pytest.raises(TypeError):
-            emit_csv([[value]], ("x",), tmp_path / "bad.csv")
+    def test_emit_rejects_bools_and_non_reals(self, tmp_path, reference_scenario, value):
+        _assert_both_writers_reject(value, tmp_path, reference_scenario)
 
-    def test_numpy_scalars_write_like_python_values(self, tmp_path):
-        native = [[0.1, -3, "a,b", 'say "hi"', 1e-300, float("inf")]]
-        numpy = [[np.float64(0.1), np.int64(-3), np.str_("a,b"), 'say "hi"',
-                  np.float64(1e-300), np.float32("inf")]]
-        header = ("f", "i", "s", "q", "tiny", "inf")
-        a = emit_csv(native, header, tmp_path / "a.csv").read_bytes()
-        b = emit_csv(numpy, header, tmp_path / "b.csv").read_bytes()
-        assert a == b
-        assert a.decode("ascii").split("\n")[1] == (
-            '0.10000000000000001,-3,"a,b","say ""hi""",1e-300,inf'
-        )
+    def test_numpy_scalars_write_like_python_values(self, reference_scenario, tmp_path):
+        native = [0.1, -3, 1e-300, float("inf")]
+        numpy = [np.float64(0.1), np.int64(-3), np.float64(1e-300), np.float32("inf")]
+        texts = ["0.10000000000000001", "-3", "1e-300", "inf"]
+        ((_, pattern),) = beampattern_sweep(reference_scenario, [0.0], angle_grid=[0.0])
+        for values in (native, numpy):
+            points = [TradeoffPoint(v, v, v, CaseTag.ACTIVE) for v in values]
+            lines = write_tradeoff_csv(points, tmp_path / "t.csv").read_text().split("\n")
+            assert lines[1:-1] == [f"{t},{t},{t},active" for t in texts]
+            path = write_beampattern_csv([(v, pattern) for v in values], tmp_path / "b.csv")
+            assert [row.split(",")[0] for row in path.read_text().split("\n")[1:-1]] == texts
 
     def test_rewrite_over_longer_file(self, reference_scenario, tmp_path):
         # the file is written over in place: no tail of the old bytes is left
@@ -275,6 +271,59 @@ class TestCsvEmission:
         target = tmp_path / "no" / "such" / "dir" / "t.csv"
         with pytest.raises(OSError, match="t.csv"):
             write_tradeoff_csv(points, target)
+
+
+def _assert_both_writers_reject(value, tmp_path, scenario):
+    # every numeric field of either file is type-checked, not only the first,
+    # and a rejected row leaves the old file as it was
+    path = tmp_path / "old.csv"
+    path.write_bytes(b"old")
+    good = TradeoffPoint(-2.0, 1.0, 1.0, CaseTag.BELOW_THRESHOLD)
+    for index in range(3):
+        fields = [-1.0, 2.0, 3.0]
+        fields[index] = value
+        with pytest.raises(TypeError):
+            write_tradeoff_csv([good, TradeoffPoint(*fields, CaseTag.ACTIVE)], path)
+    ((_, pattern),) = beampattern_sweep(scenario, [-5.0])
+    with pytest.raises(TypeError):
+        write_beampattern_csv([(-6.0, pattern), (value, pattern)], path)
+    assert path.read_bytes() == b"old"
+
+
+def _reference_tradeoff_csv(points) -> bytes:
+    # the csv module's writer with its default quoting, floats as 17
+    # significant digits
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(("snr_loss_db", "gamma", "capacity_bits", "case"))
+    for p in points:
+        writer.writerow(
+            [format(v, ".17g") for v in (p.snr_loss_db, p.gamma, p.capacity_bits)]
+            + [p.case.value]
+        )
+    return text.getvalue().encode("ascii")
+
+
+class TestTradeoffCsvBytes:
+    @pytest.mark.parametrize("m, kind", RANK_ONE_CASES)
+    def test_default_grid_matches_csv_writer(self, tmp_path, m, kind):
+        points = tradeoff_sweep(_random_scenario(m, kind))
+        path = write_tradeoff_csv(points, tmp_path / "t.csv")
+        assert path.read_bytes() == _reference_tradeoff_csv(points)
+
+    def test_every_case_matches_csv_writer(self, tmp_path):
+        values = [-0.0, 0.0, 1e-300, 5e-324, 1.5e308, -12.25, 1 / 3, 2**53 + 1.0]
+        points = [
+            TradeoffPoint(v, -v, v * 3.0, case)
+            for v in values
+            for case in CaseTag
+        ]
+        path = write_tradeoff_csv(points, tmp_path / "t.csv")
+        assert path.read_bytes() == _reference_tradeoff_csv(points)
+
+    def test_empty_points_write_header_only(self, tmp_path):
+        path = write_tradeoff_csv([], tmp_path / "t.csv")
+        assert path.read_bytes() == b"snr_loss_db,gamma,capacity_bits,case\n"
 
 
 def _reference_beampattern_csv(patterns) -> bytes:
