@@ -47,6 +47,33 @@ class ConfigError(ValueError):
     """Bad command line or config file; maps to exit code 1."""
 
 
+# every key a config may hold, by section (None is the top level); any other
+# key is a misspelling, rejected before anything is built
+_KNOWN_KEYS = {
+    None: ("scenario", "radar", "sweep", "verify", "output"),
+    "scenario": (
+        "num_antennas",
+        "spacing_over_wavelength",
+        "target_angle_deg",
+        "user_angle_deg",
+        "channel",
+        "power",
+        "target_amplitude",
+    ),
+    "radar": ("gamma", "snr0", "snr_loss_db"),
+    "sweep": (
+        "loss_grid_db",
+        "loss_start_db",
+        "loss_stop_db",
+        "loss_step_db",
+        "user_angles_deg",
+        "beampattern_losses_db",
+    ),
+    "verify": ("resolution", "trials", "seed"),
+    "output": ("directory",),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; route them through ConfigError so
     # exit code 2 stays reserved for infeasibility
@@ -66,7 +93,19 @@ def load_config(path) -> dict:
         raise ConfigError(f"invalid config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must be a mapping at top level")
+    _check_known_keys(data)
     return data
+
+
+def _check_known_keys(config: dict) -> None:
+    for section, known in _KNOWN_KEYS.items():
+        block = config if section is None else config.get(section)
+        if not isinstance(block, dict):
+            continue  # a missing or malformed section is reported where it is read
+        for key in block:
+            if key not in known:
+                name = key if section is None else f"{section}.{key}"
+                raise ConfigError(f"unknown config key '{name}'")
 
 
 def serialize_config(config: dict) -> str:

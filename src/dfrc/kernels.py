@@ -28,6 +28,31 @@ scan's blocks hold about 2^14 points: every temporary (128 KiB at most)
 stays in L2 cache and comes back from malloc's heap instead of being
 mapped, page-faulted in and unmapped again for each block. The first
 maximum in row-major order wins, so the block size never changes a result.
+
+The scan settles feasibility once per amp row where that is provable. With
+resid = ||a_t||^2 * (power - amp^2 ||h||^2), the evaluator's own row term,
+every candidate of a row puts |a_t^H c|^2 = R = (amp |h^H a_t|)^2 + resid
+on the target, whatever its phase. When resid >= 0 every summand of the
+point-wise float radar is nonnegative, so (Higham, *Accuracy and Stability
+of Numerical Algorithms*, ch. 3) it equals the float R to within a few tens
+of ulps, far inside a relative margin of 1e-9. Each row then falls in one of
+three classes:
+
+* skip, R < gamma * (1 - 1e-9): every point is infeasible, its objective is
+  -inf, and the row is never evaluated;
+* sure, R >= gamma * (1 + 1e-9): every point is feasible, and only the
+  objective is formed, with the evaluator's operations in its order, minus
+  the radar term, the ``disc >= 0`` test and the mask;
+* edge, everything else: ``eval_candidates`` as it is, whose strict
+  per-point comparison decides every point whose outcome is not proven.
+
+Rows with resid < 0, the amp = 0 row (the analytic anchor) and rows where R
+or 1e-9 * gamma is not a normal float are always edge rows, and so is every
+row when a phase is not finite or ||a_t||^2 lies outside [1, 2^500] (it is
+the element count M for every Scenario): there t = (...) / ||a_t||^2 could
+overflow or underflow and the ulp bound would not hold. For objectives that
+are never nan, as for every Scenario, the scan returns bitwise what
+evaluating every row with ``eval_candidates`` would return.
 """
 
 import numpy as np
@@ -39,6 +64,15 @@ __all__ = ["eval_candidates", "falsifier_scan", "grid_scan"]
 _GRID_BLOCK_POINTS = 1 << 14
 # falsifier trials per block: bounds its memory whatever the trial count
 _TRIAL_CHUNK = 16384
+# relative margin by which a row's phase-free target power must clear the
+# threshold before the whole row is settled without per-point tests; the
+# point-wise float values are within a few tens of ulps of it
+_ROW_MARGIN = 1e-9
+_NORMAL_MIN = float(np.finfo(np.float64).tiny)
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+# steering norms for which t = (...) / ||a_t||^2 neither overflows nor
+# underflows by more than ulps of a normal R
+_STEERING_NORM_SQ_RANGE = (1.0, 2.0**500)
 
 
 def eval_candidates(
@@ -95,6 +129,66 @@ def eval_candidates(
     return obj, t
 
 
+def _sure_objective(amp, resid, cos_psi, sin_psi, ch_norm_sq, st_norm_sq, cross_abs):
+    """``eval_candidates``'s objective on rows where every point is feasible.
+
+    The same IEEE operations in the same order, without the radar term, the
+    ``disc >= 0`` test and the mask. ``resid`` is the rows' term
+    ||a_t||^2 * (power - amp^2 ||h||^2), formed as the evaluator forms it
+    and >= +0 on these rows, so disc >= +0 and the evaluator's first
+    ``maximum(disc, 0)`` is the identity.
+    """
+    shape = np.broadcast(amp, cos_psi).shape
+    amp_g = amp * cross_abs
+    b_half = np.multiply(amp_g, cos_psi, out=np.empty(shape))
+    t = np.multiply(b_half, b_half, out=np.empty(shape))
+    t += resid
+    np.sqrt(t, out=t)
+    t -= b_half
+    t /= st_norm_sq
+    np.maximum(t, 0.0, out=t)
+    t_cross = np.multiply(t, cross_abs, out=b_half)
+    obj = np.multiply(t_cross, cos_psi, out=t)
+    obj += amp * ch_norm_sq
+    obj *= obj
+    t_cross *= sin_psi
+    t_cross *= t_cross
+    obj += t_cross
+    return obj
+
+
+def _row_classes(amps, cos_psi, power, gamma, ch_norm_sq, st_norm_sq, cross_abs):
+    """(sure, edge) row masks and the rows' ``resid`` term; see the module doc."""
+    resid = st_norm_sq * (power - amps * amps * ch_norm_sq)
+    amp_g = amps * cross_abs
+    radar = amp_g * amp_g
+    radar += resid  # R, the phase-free target power of each row
+    lo, hi = _STEERING_NORM_SQ_RANGE
+    if not (
+        _NORMAL_MIN <= _ROW_MARGIN * gamma <= _FLOAT_MAX
+        and lo <= st_norm_sq <= hi
+        and np.isfinite(cos_psi).all()  # sin is not finite at the same phases
+    ):
+        return np.zeros(amps.shape, dtype=bool), np.ones(amps.shape, dtype=bool), resid
+    # R normal (nan fails both comparisons), resid >= 0 and amp != 0
+    provable = (radar >= _NORMAL_MIN) & (radar <= _FLOAT_MAX)
+    provable &= resid >= 0.0
+    provable &= amps != 0.0
+    sure = provable & (radar >= gamma * (1.0 + _ROW_MARGIN))
+    skip = provable & (radar < gamma * (1.0 - _ROW_MARGIN))
+    return sure, ~(sure | skip), resid
+
+
+def _row_blocks(rows, n_phase):
+    """``rows`` split evenly into blocks of about ``_GRID_BLOCK_POINTS`` points."""
+    per_block = max(1, _GRID_BLOCK_POINTS // n_phase)
+    blocks = -(-rows.size // per_block)
+    if not blocks:
+        return []
+    size = -(-rows.size // blocks)  # split evenly: the last block is no sliver
+    return [rows[start : start + size] for start in range(0, rows.size, size)]
+
+
 def grid_scan(
     amps,
     phases,
@@ -108,37 +202,47 @@ def grid_scan(
 ):
     """Best feasible grid point; returns (objective, amp index, phase index).
 
-    (-inf, -1, -1) when no grid point is feasible. Evaluated in blocks of
-    whole amp rows, of about ``_GRID_BLOCK_POINTS`` points each.
+    (-inf, -1, -1) when no grid point is feasible. Rows proven infeasible
+    are skipped, rows proven feasible get only their objective, and the rest
+    go through ``eval_candidates`` (see the module doc); each kind is
+    evaluated in blocks of whole amp rows, of about ``_GRID_BLOCK_POINTS``
+    points each. The first maximum in row-major order wins.
     """
     psi = phases - cross_arg
     cos_psi = np.cos(psi)[None, :]
     sin_psi = np.sin(psi)[None, :]
+    n_phase = phases.size
+    sure, edge, resid = _row_classes(
+        amps, cos_psi, power, gamma, ch_norm_sq, st_norm_sq, cross_abs
+    )
     best = -np.inf
     bi = bj = -1
-    n_amp, n_phase = amps.size, phases.size
-    rows = max(1, _GRID_BLOCK_POINTS // n_phase)
-    blocks = -(-n_amp // rows)
-    if blocks:
-        rows = -(-n_amp // blocks)  # split evenly: the last block is no sliver
-    for start in range(0, n_amp, rows):
-        obj, _ = eval_candidates(
-            amps[start : start + rows, None],
-            cos_psi,
-            sin_psi,
-            power,
-            gamma,
-            ch_norm_sq,
-            st_norm_sq,
-            cross_abs,
-            amp0_feasible,
-        )
-        k = int(np.argmax(obj))
-        val = float(obj.flat[k])
-        if val > best:
-            best = val
-            bi = start + k // n_phase
-            bj = k % n_phase
+    for rows, is_sure in ((np.flatnonzero(edge), False), (np.flatnonzero(sure), True)):
+        for block in _row_blocks(rows, n_phase):
+            amp = amps[block, None]
+            if is_sure:
+                obj = _sure_objective(
+                    amp, resid[block, None], cos_psi, sin_psi, ch_norm_sq, st_norm_sq, cross_abs
+                )
+            else:
+                obj, _ = eval_candidates(
+                    amp,
+                    cos_psi,
+                    sin_psi,
+                    power,
+                    gamma,
+                    ch_norm_sq,
+                    st_norm_sq,
+                    cross_abs,
+                    amp0_feasible,
+                )
+            k = int(np.argmax(obj))
+            val = float(obj.flat[k])
+            i, j = int(block[k // n_phase]), k % n_phase
+            # the blocks of the two kinds interleave in row order: an equal
+            # value wins only from an earlier point
+            if val > best or (val == best and (i, j) < (bi, bj)):
+                best, bi, bj = val, i, j
     return best, bi, bj
 
 

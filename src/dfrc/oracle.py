@@ -68,7 +68,16 @@ class OracleSolution:
 
 @dataclass(frozen=True)
 class KktCertificate:
-    """First-order optimality residuals and multipliers for a candidate beam."""
+    """First-order optimality residuals and multipliers for a candidate beam.
+
+    ``failures`` measures each residual against its natural size: the
+    stationarity residual against ``stationarity_scale``, lambda against
+    ``dual_scale``, the power residual against the power, and the target
+    power terms against gamma and |a_t^H c|^2. The problem is homogeneous,
+    and under h -> s h or (power, gamma) -> t (power, gamma) each residual
+    and its size change by the same factor, so the bounds hold whatever the
+    channel scale and the power budget.
+    """
 
     stationarity_residual: float
     power_residual: float
@@ -76,19 +85,26 @@ class KktCertificate:
     dual_lambda: float
     dual_mu: float
     comp_slackness_residual: float
+    # ||h|| |h^H c|: the size of the objective's term in the stationarity vector
+    stationarity_scale: float
+    # ||h||^2 / ||a_t||^2: the unit of lambda (the ratio of the two curvatures)
+    dual_scale: float
 
     def failures(self, power: float, gamma: float) -> list[str]:
         """Names of the certificate conditions violated at the standard bounds."""
         out = []
-        if not self.stationarity_residual <= 1e-8 * math.sqrt(power):
+        if not self.stationarity_residual <= 1e-8 * self.stationarity_scale:
             out.append("stationarity")
         if not abs(self.power_residual) <= 1e-9 * power:
             out.append("power")
-        if not self.snr_slack <= 1e-9 * gamma + 1e-12:
+        if not self.snr_slack <= 1e-9 * gamma:
             out.append("snr_feasibility")
-        if not self.dual_lambda >= -1e-12:
+        if not self.dual_lambda >= -1e-12 * self.dual_scale:
             out.append("dual_sign")
-        if not abs(self.comp_slackness_residual) <= 1e-8:
+        # lambda * (gamma - |a_t^H c|^2) against the size of its two terms
+        target_power = gamma - self.snr_slack
+        scale = abs(self.dual_lambda) * max(gamma, target_power)
+        if not abs(self.comp_slackness_residual) <= 1e-8 * scale:
             out.append("complementary_slackness")
         return out
 
@@ -198,6 +214,15 @@ def grid_search_oracle(
     The scan covers amp in [0, sqrt(power)/||h||] and phase in [0, 2*pi);
     the steering weight is eliminated through the exact power budget, so
     every candidate is power-exact and feasibility is a strict comparison.
+    Every candidate of one amp row puts the same power on the target,
+    R = (amp |h^H a_t|)^2 + ||a_t||^2 (power - amp^2 ||h||^2), whatever its
+    phase, and the float value at each point is within a few tens of ulps
+    of the float R. So the scan settles whole rows where R clears gamma by
+    a relative 1e-9: rows below are skipped as infeasible, rows above get
+    their objective without the per-point test, and the strict per-point
+    comparison still decides every point of the rows in between, and of
+    any row whose outcome is not proven (see ``kernels``). The result is
+    bitwise that of testing every point.
     With ``refine`` a zooming window search polishes the best cell: on each
     axis where a window's maximum is interior, the next window spans just
     the bracket between that maximum's two neighbours (a zoom of 1/8); where
@@ -274,16 +299,29 @@ def kkt_check(
     the target-power constraint is strictly slack, lambda is pinned to zero
     first and only mu is fit. The residual reported is the norm of the
     stationarity vector at those multipliers.
+
+    The projection onto h grows as ||h||^3 and the one onto a_t as ||h||^2,
+    so for a channel norm far from 1 the system overflows, underflows, or
+    its rows differ so much in size that the least-squares cutoff drops the
+    projection onto h. Such a system is solved with h scaled by the power of
+    two that brings ||h|| near 1, and the results are scaled back (exactly:
+    the scaling is a power of two). Channels with ||h||^2 in [2^-21, 2^20)
+    are solved as given.
     """
     gamma = float(gamma)
     c = np.asarray(solution.vector_c, dtype=np.complex128)
-    h = scenario.channel
+    hh = scenario.channel_norm_sq
+    exponent = math.frexp(hh)[1]
+    shift = 0 if abs(exponent) <= 20 else -(exponent // 2)
+    unit = math.ldexp(1.0, shift)  # h is solved for as unit * h
+    h = scenario.channel * unit
     at = scenario.target_steering
     if c.shape != h.shape:
         raise ValueError(f"candidate beam must have shape {h.shape}, got {c.shape}")
     hc = complex(np.vdot(h, c))
     ac = complex(np.vdot(at, c))
-    g = scenario.cross_gain
+    g = scenario.cross_gain * unit
+    hh_unit = hh * unit * unit
     target_power = abs(ac) ** 2
 
     # unknowns x = (lambda, mu); rows are projections onto h, then a_t
@@ -294,13 +332,14 @@ def kkt_check(
         ],
         dtype=np.complex128,
     )
-    rhs = np.array([hc * scenario.channel_norm_sq, hc * np.conj(g)], dtype=np.complex128)
+    rhs = np.array([hc * hh_unit, hc * np.conj(g)], dtype=np.complex128)
     coeff_r = np.vstack([coeff.real, coeff.imag])
     rhs_r = np.concatenate([rhs.real, rhs.imag])
-    if target_power > gamma * (1.0 + 1e-9) + 1e-12:
+    if target_power > gamma * (1.0 + 1e-9):
         # strictly slack constraint: complementary slackness pins lambda to
         # zero (the min-norm least-squares answer would not, when the
-        # channel and steering directions are degenerate)
+        # channel and steering directions are degenerate; at gamma = 0 with
+        # h orthogonal to a_t its column is rounding noise)
         lam = 0.0
         col = coeff_r[:, 1]
         mu = float(col @ rhs_r / (col @ col))
@@ -309,15 +348,21 @@ def kkt_check(
         lam, mu = float(duals[0]), float(duals[1])
 
     stat = -hc * h - lam * ac * at + mu * c
+    # undo the scaling: the multipliers and the stationarity vector carry
+    # two factors of h
+    back = math.ldexp(1.0, -2 * shift)
+    lam, mu = lam * back, mu * back
     power_actual = float(np.vdot(c, c).real)
     snr_slack = gamma - target_power
     return KktCertificate(
-        stationarity_residual=float(np.linalg.norm(stat)),
+        stationarity_residual=float(np.linalg.norm(stat)) * back,
         power_residual=power_actual - scenario.power_budget,
         snr_slack=snr_slack,
         dual_lambda=lam,
         dual_mu=mu,
         comp_slackness_residual=lam * snr_slack,
+        stationarity_scale=math.sqrt(hh) * (abs(hc) / unit),
+        dual_scale=hh / scenario.steering_norm_sq,
     )
 
 

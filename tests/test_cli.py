@@ -647,3 +647,32 @@ class TestVerifyFailurePath:
         assert report["passed"] is False
         assert "kkt_stationarity" in report["failed"]
         assert "kkt_stationarity" in captured.err
+
+
+class TestUnknownConfigKeys:
+    @pytest.mark.parametrize(
+        "overrides, name",
+        [
+            ({"scenario": {"powr": 100.0}}, "scenario.powr"),
+            ({"radar": {"gama": 5.0}}, "radar.gama"),
+            ({"sweep": {"loss_step": 0.5}}, "sweep.loss_step"),
+            ({"verify": {"trails": 10}}, "verify.trails"),
+            ({"output": {"dir": "elsewhere"}}, "output.dir"),
+            ({"scenaro": {"power": 2.0}}, "scenaro"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["solve", "sweep", "beampattern", "verify"])
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys, overrides, name, command):
+        path = write_config(tmp_path, overrides)
+        rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: unknown config key '{name}'\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_section_keeps_its_message(self, tmp_path, capsys):
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({"scenario": [1, 2], "radar": {"gamma": 5.0}}))
+        assert main(["solve", "--config", str(path)]) == EXIT_USAGE
+        assert "config section 'scenario' must be a mapping" in capsys.readouterr().err

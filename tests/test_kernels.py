@@ -419,3 +419,293 @@ class TestFalsifierStream:
         assert feasible == 0
         assert best == -math.inf
         assert best_trial == -1
+
+
+def _grid_args(sc, gamma, amps, phases):
+    """``grid_scan``'s arguments for ``sc`` at ``gamma``, as the oracle passes them."""
+    params = oracle._scan_params(sc, gamma)
+    return (
+        amps,
+        phases,
+        params["cross_arg"],
+        params["power"],
+        params["gamma"],
+        params["ch_norm_sq"],
+        params["st_norm_sq"],
+        params["cross_abs"],
+        params["amp0_feasible"],
+    )
+
+
+def _row_values(args):
+    """(resid, R) per amp row, formed as the evaluator forms its row term."""
+    amps, _, _, power, _, ch_norm_sq, st_norm_sq, cross_abs, _ = args
+    resid = st_norm_sq * (power - amps * amps * ch_norm_sq)
+    amp_g = amps * cross_abs
+    return resid, amp_g * amp_g + resid
+
+
+def _row_class_corpus():
+    """(grid_scan args, label) with thresholds on and around the rows' R.
+
+    Besides gamma = 0 and the maximum times (1 + 1e-9), each scenario gets
+    thresholds at R(amps[i]) * (1 - 1e-9), R(amps[i]) and R(amps[i]) *
+    (1 + 1e-9) for interior rows i. Powers of 1e-305 and 1e-310 push
+    (amp |g|)^2, resid and R into the subnormal range.
+    """
+    rng = np.random.default_rng(1103)
+    for kind in ("los", "rayleigh", "collinear", "orthogonal"):
+        for scale, power in (
+            (1e-140, None),
+            (1.0, None),
+            (1e140, None),
+            (1e-30, 1e-305),
+            (1.0, 1e-305),
+            (1.0, 1e-310),
+        ):
+            m = int(rng.integers(2, 17))
+            geom = ArrayGeometry(m, 0.5)
+            target = float(rng.uniform(-1.5, 1.5))
+            h = scale * _channel(kind, geom, target, rng)
+            if power is None:
+                power = float(10.0 ** rng.uniform(-2.0, 2.0))
+            sc = Scenario(geom, target, h, power)
+            n_amp, n_phase = (int(n) for n in rng.integers(64, 300, size=2))
+            amp_max = math.sqrt(sc.power_budget / sc.channel_norm_sq)
+            amps = np.linspace(0.0, amp_max, n_amp)
+            phases = np.linspace(0.0, 2.0 * math.pi, n_phase, endpoint=False)
+            _, row_r = _row_values(_grid_args(sc, 0.0, amps, phases))
+            gammas = [0.0, sc.max_target_power, sc.max_target_power * (1.0 + 1e-9)]
+            for i in rng.integers(1, n_amp - 1, size=3):
+                gammas += [float(row_r[i]) * f for f in (1.0 - 1e-9, 1.0, 1.0 + 1e-9)]
+            for gamma in gammas:
+                yield (
+                    _grid_args(sc, gamma, amps, phases),
+                    f"{kind} x{scale:g} P={power:g} gamma={gamma!r} {n_amp}x{n_phase}",
+                )
+
+
+def _classes(args):
+    amps, phases, cross_arg, power, gamma, ch_norm_sq, st_norm_sq, cross_abs, _ = args
+    psi = phases - cross_arg
+    sure, edge, _ = kernels._row_classes(
+        amps,
+        np.cos(psi)[None, :],
+        power,
+        gamma,
+        ch_norm_sq,
+        st_norm_sq,
+        cross_abs,
+    )
+    return sure, edge, ~(sure | edge)
+
+
+class TestRowClasses:
+    def test_grid_scan_matches_frozen_reference(self):
+        counts = np.zeros(3, dtype=int)
+        cases = 0
+        for args, label in _row_class_corpus():
+            assert repr(kernels.grid_scan(*args)) == repr(_grid_scan_reference(*args)), label
+            counts += [int(np.count_nonzero(c)) for c in _classes(args)]
+            cases += 1
+        assert cases == 288
+        assert counts.min() > 1000  # every class is exercised
+
+    def test_block_size_leaves_result_unchanged(self, monkeypatch):
+        # sure and edge rows are evaluated in separate blocks: a tie across
+        # them must still go to the first point in row-major order
+        for args, label in list(_row_class_corpus())[::7]:
+            results = set()
+            for points in (1, 1000, 1 << 18):
+                monkeypatch.setattr(kernels, "_GRID_BLOCK_POINTS", points)
+                results.add(repr(kernels.grid_scan(*args)))
+            assert len(results) == 1, label
+
+    def test_first_maximum_wins_across_classes(self, reference_scenario):
+        # a phase axis with every value twice gives each row two equal
+        # maxima; the edge row amp = 0 is evaluated before the sure rows
+        sc = reference_scenario
+        amps = np.linspace(0.0, math.sqrt(sc.power_budget / sc.channel_norm_sq), 129)
+        half = np.linspace(0.0, 2.0 * math.pi, 97, endpoint=False)
+        args = _grid_args(sc, 0.5 * sc.max_target_power, amps, np.concatenate([half, half]))
+        best, bi, bj = kernels.grid_scan(*args)
+        assert repr((best, bi, bj)) == repr(_grid_scan_reference(*args))
+        assert bj < half.size
+
+    def test_collinear_channel_rows_are_flat(self):
+        # h parallel to a_t: R is P * M in every row up to rounding, so at
+        # the maximum every row is an edge row and below it every row with
+        # amp > 0 and resid >= 0 is sure
+        geom = ArrayGeometry(8, 0.5)
+        h = (0.3 - 1.1j) * steering_vector(geom, 0.4)
+        sc = Scenario(geom, 0.4, h, 2.5)
+        amps = np.linspace(0.0, math.sqrt(sc.power_budget / sc.channel_norm_sq), 257)
+        phases = np.linspace(0.0, 2.0 * math.pi, 257, endpoint=False)
+        for fraction, flat_class in ((1.0, 1), (0.5, 0)):
+            args = _grid_args(sc, fraction * sc.max_target_power, amps, phases)
+            resid, row_r = _row_values(args)
+            assert np.all(np.abs(row_r[resid >= 0] - sc.max_target_power)
+                          <= 1e-13 * sc.max_target_power)
+            classes = _classes(args)
+            assert np.all(classes[flat_class][(amps > 0) & (resid >= 0)]), fraction
+            assert repr(kernels.grid_scan(*args)) == repr(_grid_scan_reference(*args))
+
+    def test_subnormal_row_values_take_the_edge_path(self):
+        seen = {"amp_g_sq": 0, "resid": 0, "row": 0}
+        for args, label in _row_class_corpus():
+            amps, _, _, _, gamma, _, _, cross_abs, _ = args
+            resid, row_r = _row_values(args)
+            amp_g = amps * cross_abs
+            tiny = np.finfo(np.float64).tiny
+            seen["amp_g_sq"] += int(np.count_nonzero((amp_g * amp_g < tiny) & (amps > 0)))
+            seen["resid"] += int(np.count_nonzero((resid > 0) & (resid < tiny)))
+            not_normal = ~(row_r >= tiny)
+            seen["row"] += int(np.count_nonzero(not_normal))
+            _, edge, _ = _classes(args)
+            assert np.all(edge[not_normal]), label
+            assert np.all(edge[resid < 0]), label
+            assert np.all(edge[amps == 0.0]), label
+            if not 1e-9 * gamma >= tiny:
+                assert np.all(edge), label
+        assert min(seen.values()) > 0, seen
+
+    def test_pointwise_radar_is_within_ulps_of_row_value(self):
+        # the margin argument: where the row's classes are provable the
+        # point-wise float radar of the plain formula is R to ~1e-15
+        worst = 0.0
+        for args, _ in list(_row_class_corpus())[::9]:
+            amps, phases, cross_arg, power, _, ch_norm_sq, st_norm_sq, cross_abs, _ = args
+            resid, row_r = _row_values(args)
+            rows = (resid >= 0) & (row_r >= np.finfo(np.float64).tiny) & (amps != 0)
+            amp = amps[rows, None]
+            psi = (phases - cross_arg)[None, :]
+            b_half = amp * cross_abs * np.cos(psi)
+            disc = b_half * b_half + resid[rows, None]
+            t = np.maximum((np.sqrt(np.maximum(disc, 0.0)) - b_half) / st_norm_sq, 0.0)
+            radar = (b_half + t * st_norm_sq) ** 2 + (amp * cross_abs * np.sin(psi)) ** 2
+            rel = np.abs(radar - row_r[rows, None]) / row_r[rows, None]
+            worst = max(worst, float(rel.max(initial=0.0)))
+        assert worst <= 1e-13, worst
+
+    def test_skipped_rows_reach_no_evaluator(self, reference_scenario, monkeypatch):
+        evaluated = []
+
+        def recording(name):
+            original = getattr(kernels, name)
+
+            def wrapper(amp, *rest):
+                evaluated.extend(np.asarray(amp).ravel().tolist())
+                return original(amp, *rest)
+
+            return wrapper
+
+        for name in ("eval_candidates", "_sure_objective"):
+            monkeypatch.setattr(kernels, name, recording(name))
+        for args, label in list(_row_class_corpus())[::5]:
+            evaluated.clear()
+            kernels.grid_scan(*args)
+            sure, edge, skip = _classes(args)
+            amps = args[0]
+            rows = np.flatnonzero(np.isin(amps, evaluated))
+            assert sorted(evaluated) == sorted(amps[sure | edge].tolist()), label
+            assert not np.any(skip[rows]), label
+
+        # the reference LoS scenario at gamma = 5: the rows evaluated are
+        # exactly the rows that hold a feasible point
+        sc = reference_scenario
+        amps = np.linspace(0.0, math.sqrt(sc.power_budget / sc.channel_norm_sq), 257)
+        phases = np.linspace(0.0, 2.0 * math.pi, 257, endpoint=False)
+        args = _grid_args(sc, 5.0, amps, phases)
+        evaluated.clear()
+        kernels.grid_scan(*args)
+        psi = phases - args[2]
+        obj, _ = _eval_candidates_reference(
+            amps[:, None], np.cos(psi)[None, :], np.sin(psi)[None, :], *args[3:]
+        )
+        feasible_rows = np.flatnonzero(np.isfinite(obj).any(axis=1))
+        assert sorted(evaluated) == amps[feasible_rows].tolist()
+        assert 0.5 < feasible_rows.size / amps.size < 0.9
+
+    def test_sure_rows_match_the_evaluator_bitwise(self):
+        # not only the maximum: every objective value of a sure row is the
+        # evaluator's, bit for bit
+        rows_checked = 0
+        for args, label in _row_class_corpus():
+            amps, phases, cross_arg, power, gamma, ch_norm_sq, st_norm_sq, cross_abs, a0 = args
+            sure, _, _ = _classes(args)
+            if not sure.any():
+                continue
+            resid, _ = _row_values(args)
+            psi = phases - cross_arg
+            cos_psi, sin_psi = np.cos(psi)[None, :], np.sin(psi)[None, :]
+            got = kernels._sure_objective(
+                amps[sure, None], resid[sure, None], cos_psi, sin_psi,
+                ch_norm_sq, st_norm_sq, cross_abs,
+            )
+            want, _ = _eval_candidates_reference(
+                amps[sure, None], cos_psi, sin_psi, power, gamma,
+                ch_norm_sq, st_norm_sq, cross_abs, a0,
+            )
+            _assert_same_bits(got, want)
+            rows_checked += int(np.count_nonzero(sure))
+        assert rows_checked > 1000
+
+    def test_rows_at_the_top_of_the_amp_range(self):
+        # at and just past amp_max the rows' resid is a few ulps of the
+        # power or below zero: those rows must take the edge path
+        rng = np.random.default_rng(1104)
+        negative = 0
+        for _ in range(20):
+            m = int(rng.integers(2, 17))
+            geom = ArrayGeometry(m, 0.5)
+            target = float(rng.uniform(-1.5, 1.5))
+            h = _channel(("los", "rayleigh")[m % 2], geom, target, rng)
+            sc = Scenario(geom, target, h, float(10.0 ** rng.uniform(-2.0, 2.0)))
+            amp_max = math.sqrt(sc.power_budget / sc.channel_norm_sq)
+            amps = np.concatenate(
+                [
+                    np.linspace(0.0, amp_max, 64),
+                    amp_max + np.arange(-8, 4) * np.spacing(amp_max),
+                ]
+            )
+            phases = np.linspace(0.0, 2.0 * math.pi, 91, endpoint=False)
+            for gamma in (0.5 * sc.free_target_power, sc.max_target_power):
+                args = _grid_args(sc, gamma, amps, phases)
+                assert repr(kernels.grid_scan(*args)) == repr(_grid_scan_reference(*args))
+                resid, row_r = _row_values(args)
+                _, edge, _ = _classes(args)
+                assert np.all(edge[resid < 0])
+                negative += int(np.count_nonzero((resid < 0) & (row_r >= 1e-300)))
+        assert negative > 0
+
+    def test_equal_maxima_across_classes(self):
+        # an objective that overflows ties at +inf in a sure row and in the
+        # edge row amp = 0 after it: the earlier point, in the sure row, wins
+        amps = np.array([1e-300, 0.0])
+        phases = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+        args = (amps, phases, 0.0, 1.0, 1.0, 1.0, 1.0, 1e300, True)
+        sure, edge, _ = _classes(args)
+        assert sure.tolist() == [True, False] and edge.tolist() == [False, True]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = kernels.grid_scan(*args)
+            want = _grid_scan_reference(*args)
+        assert repr(got) == repr(want)
+        assert got[0] == math.inf and got[1] == 0
+
+    @pytest.mark.parametrize(
+        "case", ["gamma zero", "gamma subnormal", "steering below 1", "steering huge", "nan phase"]
+    )
+    def test_guards_send_every_row_to_the_edge_path(self, reference_scenario, case):
+        sc = reference_scenario
+        gamma = {"gamma zero": 0.0, "gamma subnormal": 1e-310}.get(case, 5.0)
+        amps = np.linspace(0.0, math.sqrt(sc.power_budget / sc.channel_norm_sq), 65)
+        phases = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+        if case == "nan phase":
+            phases[5] = math.nan
+        args = _grid_args(sc, gamma, amps, phases)
+        st_norm_sq = {"steering below 1": 0.5, "steering huge": 2.0**501}.get(case, args[6])
+        args = args[:6] + (st_norm_sq,) + args[7:]
+        _, edge, _ = _classes(args)
+        assert edge.all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert repr(kernels.grid_scan(*args)) == repr(_grid_scan_reference(*args))

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from dfrc import InfeasibleRadarRequirement, Scenario, ArrayGeometry
+from dfrc import kkt_check, solve_closed_form, steering_vector, verify
 from dfrc.verify import run_verification
 
 
@@ -91,3 +94,87 @@ class TestRunVerification:
         assert f["num_trials"] == 2000
         assert 0 <= f["num_feasible"] <= 2000
         assert f["best_objective"] <= report["closed_form"]["objective"] + 1e-9
+
+
+_SCALES = [1e-140, 1e-70, 1e-7, 1e-5, 1.0, 1e4, 1e6, 1e70, 1e140]
+_POWERS = [1e-8, 1.0, 1e8]
+
+
+def _rayleigh(scale, power):
+    # a seeded Rayleigh channel at M = 10, scaled; gamma is P * M / 2
+    rng = np.random.default_rng(2718)
+    h = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+    return Scenario(ArrayGeometry(10, 0.5), 0.3, scale * h, power)
+
+
+def _target_beam(scenario, gamma):
+    # feasible and power-exact, but all of it aimed at the target
+    from dfrc.closed_form import solve_closed_form
+
+    solution = solve_closed_form(scenario, gamma)
+    c = scenario.target_steering * math.sqrt(
+        scenario.power_budget / scenario.steering_norm_sq
+    )
+    return dataclasses.replace(solution, vector_c=c)
+
+
+class TestScaleFreeBounds:
+    """The verdicts do not depend on the channel scale or the power budget."""
+
+    @pytest.mark.parametrize("power", _POWERS)
+    @pytest.mark.parametrize("scale", _SCALES)
+    def test_correct_beam_passes(self, scale, power):
+        sc = _rayleigh(scale, power)
+        report = run_verification(sc, 5.0 * power, resolution=257, trials=3000)
+        assert report["passed"] is True, report["failed"]
+
+    @pytest.mark.parametrize("power", _POWERS)
+    @pytest.mark.parametrize("scale", _SCALES)
+    def test_perturbed_beam_fails(self, scale, power):
+        sc = _rayleigh(scale, power)
+        report = run_verification(
+            sc, 5.0 * power, resolution=257, trials=3000, perturb=1e-3
+        )
+        assert report["passed"] is False
+        assert "kkt_stationarity" in report["failed"]
+
+    @pytest.mark.parametrize("power", _POWERS)
+    @pytest.mark.parametrize("scale", _SCALES)
+    def test_target_beam_fails(self, scale, power):
+        sc = _rayleigh(scale, power)
+        with mock.patch.object(verify, "solve_closed_form", _target_beam):
+            report = run_verification(sc, 5.0 * power, resolution=257, trials=3000)
+        assert report["closed_form"]["solution_objective"] < 0.5 * report["closed_form"]["objective"]
+        assert report["passed"] is False
+        assert "kkt_stationarity" in report["failed"]
+
+    @pytest.mark.parametrize("scale", [2.0**-400, 2.0**-40, 2.0**40, 2.0**400])
+    def test_multipliers_scale_with_the_channel(self, scale):
+        # h -> s h leaves the beam unchanged and scales lambda, mu and the
+        # stationarity vector by s^2
+        unit = _rayleigh(1.0, 1.0)
+        scaled = _rayleigh(scale, 1.0)
+        base = kkt_check(solve_closed_form(unit, 5.0), unit, 5.0)
+        cert = kkt_check(solve_closed_form(scaled, 5.0), scaled, 5.0)
+        s2 = scale * scale
+        assert cert.dual_lambda == pytest.approx(base.dual_lambda * s2, rel=1e-12)
+        assert cert.dual_mu == pytest.approx(base.dual_mu * s2, rel=1e-12)
+        assert cert.stationarity_scale == pytest.approx(base.stationarity_scale * s2, rel=1e-12)
+        assert cert.stationarity_residual <= 1e-12 * cert.stationarity_scale
+        assert not cert.failures(1.0, 5.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_orthogonal_channel_at_zero_threshold(self, seed):
+        # at gamma = 0 with h orthogonal to a_t, lambda's column in the
+        # stationarity fit is rounding noise; the slack constraint pins it
+        rng = np.random.default_rng(seed)
+        m = 2 + seed
+        geom = ArrayGeometry(m, 0.5)
+        at = steering_vector(geom, 0.4)
+        h = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        h -= np.vdot(at, h) / m * at
+        for scale in (1e-100, 1.0, 1e100):
+            sc = Scenario(geom, 0.4, scale * h, 3.0)
+            cert = kkt_check(solve_closed_form(sc, 0.0), sc, 0.0)
+            assert cert.dual_lambda == 0.0
+            assert not cert.failures(sc.power_budget, 0.0)
