@@ -42,13 +42,16 @@ three classes:
   -inf, and the row is never evaluated;
 * sure, R >= gamma * (1 + 1e-9): every point is feasible, and only the
   objective is formed, with the evaluator's operations in its order, minus
-  the radar term, the ``disc >= 0`` test and the mask;
+  the radar term, the ``disc >= 0`` test, the clamp t >= 0 and the mask;
 * edge, everything else: ``eval_candidates`` as it is, whose strict
   per-point comparison decides every point whose outcome is not proven.
 
-Rows with resid < 0, the amp = 0 row (the analytic anchor) and rows where R
-or 1e-9 * gamma is not a normal float are always edge rows, and so is every
-row when a phase is not finite or ||a_t||^2 lies outside [1, 2^500] (it is
+At gamma = 0 exactly no margin is needed: the point-wise radar is a sum of
+squares, so every row with resid >= 0 and R >= 2^-1022 / 1e-9 (the least R
+a sure row has at any gamma > 0) is sure. Rows with resid < 0, the amp = 0
+row (the analytic anchor) and rows where R is not a normal float are always
+edge rows, and so is every row when 1e-9 * gamma is neither 0 nor a normal
+float, a phase is not finite or ||a_t||^2 lies outside [1, 2^500] (it is
 the element count M for every Scenario): there t = (...) / ||a_t||^2 could
 overflow or underflow and the ulp bound would not hold. For objectives that
 are never nan, as for every Scenario, the scan returns bitwise what
@@ -133,10 +136,10 @@ def _sure_objective(amp, resid, cos_psi, sin_psi, ch_norm_sq, st_norm_sq, cross_
     """``eval_candidates``'s objective on rows where every point is feasible.
 
     The same IEEE operations in the same order, without the radar term, the
-    ``disc >= 0`` test and the mask. ``resid`` is the rows' term
-    ||a_t||^2 * (power - amp^2 ||h||^2), formed as the evaluator forms it
-    and >= +0 on these rows, so disc >= +0 and the evaluator's first
-    ``maximum(disc, 0)`` is the identity.
+    ``disc >= 0`` test, the clamp t >= 0 and the mask. ``resid`` is the
+    rows' term ||a_t||^2 * (power - amp^2 ||h||^2), formed as the evaluator
+    forms it and >= +0 on these rows, so disc >= +0 and the evaluator's
+    first ``maximum(disc, 0)`` is the identity.
     """
     shape = np.broadcast(amp, cos_psi).shape
     amp_g = amp * cross_abs
@@ -146,7 +149,13 @@ def _sure_objective(amp, resid, cos_psi, sin_psi, ch_norm_sq, st_norm_sq, cross_
     np.sqrt(t, out=t)
     t -= b_half
     t /= st_norm_sq
-    np.maximum(t, 0.0, out=t)
+    # no maximum(t, 0): resid >= +0 gives sqrt(fl(b^2 + resid)) >=
+    # sqrt(fl(b * b)) = |b| (binary floating point) whenever b * b is
+    # normal, so t >= +0. Only resid = 0 with b * b below the normal range
+    # leaves t < 0, by less than 2^-537 / ||a_t||^2; there amp |h^H a_t| =
+    # sqrt(R) >= 2^-496.05 (R >= 2^-1022 / 1e-9 on sure rows), so t moves
+    # each square of the objective by under 2^-80 of its value, far below
+    # half an ulp, and the objective keeps the evaluator's bits.
     t_cross = np.multiply(t, cross_abs, out=b_half)
     obj = np.multiply(t_cross, cos_psi, out=t)
     obj += amp * ch_norm_sq
@@ -165,7 +174,7 @@ def _row_classes(amps, cos_psi, power, gamma, ch_norm_sq, st_norm_sq, cross_abs)
     radar += resid  # R, the phase-free target power of each row
     lo, hi = _STEERING_NORM_SQ_RANGE
     if not (
-        _NORMAL_MIN <= _ROW_MARGIN * gamma <= _FLOAT_MAX
+        (gamma == 0.0 or _NORMAL_MIN <= _ROW_MARGIN * gamma <= _FLOAT_MAX)
         and lo <= st_norm_sq <= hi
         and np.isfinite(cos_psi).all()  # sin is not finite at the same phases
     ):
@@ -174,7 +183,11 @@ def _row_classes(amps, cos_psi, power, gamma, ch_norm_sq, st_norm_sq, cross_abs)
     provable = (radar >= _NORMAL_MIN) & (radar <= _FLOAT_MAX)
     provable &= resid >= 0.0
     provable &= amps != 0.0
-    sure = provable & (radar >= gamma * (1.0 + _ROW_MARGIN))
+    # at gamma = 0 the radar, a sum of squares, is never below gamma; the
+    # sure rows still need R >= 2^-1022 / 1e-9, as every gamma > 0 that
+    # passes the guard gives them (see _sure_objective)
+    floor = gamma if gamma else _NORMAL_MIN / _ROW_MARGIN
+    sure = provable & (radar >= floor * (1.0 + _ROW_MARGIN))
     skip = provable & (radar < gamma * (1.0 - _ROW_MARGIN))
     return sure, ~(sure | skip), resid
 

@@ -4,6 +4,12 @@
 for any Hermitian PSD covariance R, not just the rank-one optimum. The
 blocked steering projections behind it are shared with the beam-pattern
 sweep, which projects h and a_t once instead of forming c c^H.
+
+On a uniform linear array a(-phi) = conj(a(phi)), and with numpy's even
+cos and odd sin this holds bit for bit. So the projections build one
+steering row per distinct |phi| and project it and its conjugate: the
+default grid, symmetric about broadside, takes 361 rows instead of 721,
+and every value keeps the bits of its own row.
 """
 
 import math
@@ -75,19 +81,41 @@ def _project(steering: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _steering_projections(geometry: ArrayGeometry, angles: np.ndarray, *vectors):
     """a(phi)^H x at each of ``angles``, one array per x in ``vectors``.
 
-    The steering matrix is built one block of angles at a time, so it is
-    never held whole and each block stays in cache. Every row is summed as
-    in a single unblocked projection, so the results are the same bits.
+    Rows are built only for the distinct magnitudes |phi|, so a grid
+    symmetric about broadside, as the default one is, pays for half the cos
+    and sin. On a uniform linear array the row for -phi is conj(a(phi)) bit
+    for bit: numpy's float64 sin is odd and its cos even, and negation
+    commutes with IEEE products, so that row's phases are exactly the
+    negated ones, with the same cos and the negated sin. Each block is
+    therefore projected, conjugated in place and projected again, and each
+    angle takes the second value when its sign bit is set (-0.0 too, whose
+    row is conj(a(+0.0))). Summing sum_m a_m(phi) x_m instead would be
+    conj(a(-phi)^H x) up to the sign of zero imaginary parts only.
+
+    The rows are built one block at a time, so the whole steering matrix is
+    never held and each block stays in cache. Every row is summed as in a
+    single unblocked projection, so the results are the same bits.
     """
+    magnitudes, index = np.unique(np.abs(angles), return_inverse=True)
     # at least two rows per block unless there is only one angle: beyond
-    # 8,192 antennas einsum sums a one-row matrix in a different order
+    # 8,192 antennas einsum sums a one-row matrix in a different order, so a
+    # grid of one magnitude and several angles builds that row twice
     rows = max(2, _PROJECTION_BLOCK_ENTRIES // geometry.num_antennas)
-    parts = [[] for _ in vectors]
-    for block_angles in np.array_split(angles, max(1, angles.size // rows)):
+    if magnitudes.size == 1 < angles.size:
+        magnitudes = np.repeat(magnitudes, 2)
+    parts = [([], []) for _ in vectors]
+    for block_angles in np.array_split(magnitudes, max(1, magnitudes.size // rows)):
         block = _steering_matrix(geometry, block_angles)
-        for part, x in zip(parts, vectors):
-            part.append(_project(block, x))
-    return [np.concatenate(part) for part in parts]
+        for (positive, _), x in zip(parts, vectors):
+            positive.append(_project(block, x))
+        np.conjugate(block, out=block)
+        for (_, negative), x in zip(parts, vectors):
+            negative.append(_project(block, x))
+    mirrored = np.signbit(angles)
+    return [
+        np.where(mirrored, np.concatenate(negative)[index], np.concatenate(positive)[index])
+        for positive, negative in parts
+    ]
 
 
 def _diagonal_sums(r: np.ndarray) -> np.ndarray:

@@ -437,6 +437,10 @@ def _grid_args(sc, gamma, amps, phases):
     )
 
 
+# the least R of a sure row: what every gamma > 0 past the guard implies
+_SURE_FLOOR = kernels._NORMAL_MIN / kernels._ROW_MARGIN * (1.0 + kernels._ROW_MARGIN)
+
+
 def _row_values(args):
     """(resid, R) per amp row, formed as the evaluator forms its row term."""
     amps, _, _, power, _, ch_norm_sq, st_norm_sq, cross_abs, _ = args
@@ -561,11 +565,17 @@ class TestRowClasses:
             seen["resid"] += int(np.count_nonzero((resid > 0) & (resid < tiny)))
             not_normal = ~(row_r >= tiny)
             seen["row"] += int(np.count_nonzero(not_normal))
-            _, edge, _ = _classes(args)
+            sure, edge, _ = _classes(args)
             assert np.all(edge[not_normal]), label
             assert np.all(edge[resid < 0]), label
             assert np.all(edge[amps == 0.0]), label
-            if not 1e-9 * gamma >= tiny:
+            if gamma == 0.0:
+                # no margin and no skip rows: every provable row at or above
+                # the floor is sure, and the rest are edge rows
+                want = (resid >= 0) & (amps != 0.0) & (row_r >= _SURE_FLOOR)
+                assert np.array_equal(sure, want & (row_r <= np.finfo(np.float64).max)), label
+                assert np.array_equal(edge, ~sure), label
+            elif not 1e-9 * gamma >= tiny:
                 assert np.all(edge), label
         assert min(seen.values()) > 0, seen
 
@@ -693,11 +703,11 @@ class TestRowClasses:
         assert got[0] == math.inf and got[1] == 0
 
     @pytest.mark.parametrize(
-        "case", ["gamma zero", "gamma subnormal", "steering below 1", "steering huge", "nan phase"]
+        "case", ["gamma subnormal", "steering below 1", "steering huge", "nan phase"]
     )
     def test_guards_send_every_row_to_the_edge_path(self, reference_scenario, case):
         sc = reference_scenario
-        gamma = {"gamma zero": 0.0, "gamma subnormal": 1e-310}.get(case, 5.0)
+        gamma = {"gamma subnormal": 1e-310}.get(case, 5.0)
         amps = np.linspace(0.0, math.sqrt(sc.power_budget / sc.channel_norm_sq), 65)
         phases = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
         if case == "nan phase":
@@ -709,3 +719,53 @@ class TestRowClasses:
         assert edge.all()
         with np.errstate(over="ignore", invalid="ignore"):
             assert repr(kernels.grid_scan(*args)) == repr(_grid_scan_reference(*args))
+
+    def test_gamma_zero_rows_take_the_sure_path(self, reference_scenario):
+        # the radar is a sum of squares: at gamma = 0 every row with amp > 0
+        # and resid >= 0 is sure; the amp = 0 row and rows past amp_max
+        # (resid < 0) stay edge rows, and no row is skipped
+        sc = reference_scenario
+        amp_max = math.sqrt(sc.power_budget / sc.channel_norm_sq)
+        amps = np.concatenate(
+            [np.linspace(0.0, amp_max, 65), amp_max + np.arange(1, 4) * np.spacing(amp_max)]
+        )
+        phases = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+        args = _grid_args(sc, 0.0, amps, phases)
+        resid, _ = _row_values(args)
+        sure, edge, skip = _classes(args)
+        assert np.array_equal(sure, (amps != 0.0) & (resid >= 0))
+        assert np.array_equal(edge, ~sure) and not skip.any()
+        assert (resid < 0).any()
+        assert repr(kernels.grid_scan(*args)) == repr(_grid_scan_reference(*args))
+
+    @pytest.mark.parametrize(
+        "factor", [1.5, 1e4, 0.5 / kernels._ROW_MARGIN, 2.0 / kernels._ROW_MARGIN]
+    )
+    def test_gamma_zero_floor_keeps_the_sure_objective_exact(self, factor):
+        # rows with resid = 0 and R = (amp |g|)^2 near the normal range,
+        # against phases where b = amp |g| cos(psi) has a subnormal square:
+        # there the unclamped t of the sure path falls below 0, and only
+        # rows with R >= 2^-1022 / 1e-9 may take that path (at R = 1.5 *
+        # 2^-1022 an unclamped objective here differs in its last bit)
+        ch_norm_sq, cross_abs = 4.0, 2.0
+        amp = math.sqrt(np.finfo(np.float64).tiny * factor) / cross_abs
+        amps = np.array([0.0, amp])
+        power = amp * amp * ch_norm_sq
+        rng = np.random.default_rng(1105)
+        offsets = 10.0 ** rng.uniform(-14.0, -6.0, 1000)
+        phases = math.pi / 2 + np.concatenate([offsets, -offsets])
+        args = (amps, phases, 0.0, power, 0.0, ch_norm_sq, 1.0, cross_abs, True)
+        resid, row_r = _row_values(args)
+        assert resid[1] == 0.0
+        sure, _, _ = _classes(args)
+        assert sure[1] == (row_r[1] >= _SURE_FLOOR)
+        assert repr(kernels.grid_scan(*args)) == repr(_grid_scan_reference(*args))
+        cos_psi, sin_psi = np.cos(phases)[None, :], np.sin(phases)[None, :]
+        b_half = amp * cross_abs * cos_psi
+        assert ((np.sqrt(b_half * b_half) - b_half) < 0).any()  # the corner is reached
+        if sure[1]:
+            got = kernels._sure_objective(
+                amps[1:, None], resid[1:, None], cos_psi, sin_psi, ch_norm_sq, 1.0, cross_abs
+            )
+            want, _ = _eval_candidates_reference(amps[1:, None], cos_psi, sin_psi, *args[3:])
+            _assert_same_bits(got, want)

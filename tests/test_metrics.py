@@ -12,6 +12,7 @@ from dfrc import (
     steering_vector,
 )
 from dfrc import metrics
+from dfrc.sweep import beampattern_sweep
 from dfrc.metrics import (
     _project,
     _steering_matrix,
@@ -130,6 +131,54 @@ class TestBlockedProjections:
         assert len(got) == 2
         for result, x in zip(got, vectors):
             assert np.array_equal(_bits(result), _bits(_project(steering, x)))
+
+
+def _mirror_grids():
+    """(label, angles) for grids that pair, repeat or leave out mirror angles."""
+    rng = np.random.default_rng(1201)
+    half_pi = math.pi / 2
+    unsorted = rng.uniform(-half_pi, half_pi, 31)
+    unsorted = np.concatenate([unsorted, -unsorted[:9]])
+    return [
+        ("signed zeros", np.array([0.0, -0.0, 0.0])),
+        ("plus-minus pi/2", np.array([-half_pi, half_pi])),
+        ("duplicates", np.array([0.3, -0.3, 0.3, -0.3, -0.3, 0.0, 1.1])),
+        ("unsorted", rng.permutation(unsorted)),
+        # -90 + 1.75 k: both signs, no angle's mirror on the grid
+        ("unpaired", default_angle_grid()[::7]),
+        ("all negative", -rng.uniform(0.0, half_pi, 17)),
+        ("single angle", np.array([-0.7])),
+        ("negative zero alone", np.array([-0.0])),
+    ]
+
+
+class TestMirroredProjections:
+    @pytest.mark.parametrize("spacing", [0.25, 0.5, 0.7])
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 512, metrics._PROJECTION_BLOCK_ENTRIES + 3])
+    def test_bitwise_equal_to_the_full_steering_matrix(self, m, spacing):
+        geometry = ArrayGeometry(m, spacing)
+        rng = np.random.default_rng([m, int(spacing * 100)])
+        # real vectors give imaginary parts that sum to a signed zero
+        vectors = [_random_vector(rng, m), rng.standard_normal(m) + 0j, np.ones(m, complex)]
+        for label, angles in _mirror_grids():
+            got = _steering_projections(geometry, angles, *vectors)
+            steering = _steering_matrix(geometry, angles)
+            for result, x in zip(got, vectors):
+                want = _project(steering, x)
+                assert np.array_equal(_bits(result), _bits(want)), label
+
+    def test_default_grid_builds_each_magnitude_once(self, reference_scenario, monkeypatch):
+        # the default grid is symmetric: one beam-pattern sweep builds 361
+        # steering rows, one per |phi|, not 721
+        built = []
+
+        def counting(geometry, angles):
+            built.append(angles.size)
+            return _steering_matrix(geometry, angles)
+
+        monkeypatch.setattr(metrics, "_steering_matrix", counting)
+        beampattern_sweep(reference_scenario)
+        assert sum(built) == 361
 
 
 def _quadratic_form_pattern(covariance, geometry):
