@@ -56,7 +56,46 @@ the element count M for every Scenario): there t = (...) / ||a_t||^2 could
 overflow or underflow and the ulp bound would not hold. For objectives that
 are never nan, as for every Scenario, the scan returns bitwise what
 evaluating every row with ``eval_candidates`` would return.
+
+Most sure rows are never evaluated either: each has a proven ceiling on its
+objective, and a branch-and-bound pass (Land & Doig, 1960) evaluates only
+the rows whose ceiling can hold the maximum. With g = |h^H a_t|, r = resid
+and b = amp g cos(psi) (the evaluator's ``b_half``), t ||a_t||^2 =
+sqrt(b^2 + r) - b, so t^2 ||a_t||^4 = r - 2 b t ||a_t||^2, and the objective
+(amp ||h||^2 + t g cos psi)^2 + (t g sin psi)^2 of one row is
+
+    f = amp^2 ||h||^4 + g^2 (P - amp^2 ||h||^2) / ||a_t||^2 + 2 kappa t b,
+
+kappa = ||h||^2 - g^2 / ||a_t||^2 >= 0 (Cauchy-Schwarz: the energy of h
+orthogonal to a_t). Only t b depends on the phase, and t b ||a_t||^2 =
+b (sqrt(b^2 + r) - b) never decreases in b: its derivative is
+(sqrt(b^2 + r) - b)^2 / sqrt(b^2 + r) >= 0. Float cos never exceeds 1, so
+b <= b0 = amp g and the row's maximum is f at psi = 0,
+F0 = (amp ||h||^2 + t0 g)^2 with t0 = r / (sqrt(b0^2 + r) + b0) / ||a_t||^2,
+a form without cancellation. The ceiling is F = F0 (1 + 1e-9). It covers
+the evaluator's rounding: on a sure row amp ||h||^2 + t g <= 4 sqrt(F0) at
+every phase (g b0 / ||a_t||^2 <= amp ||h||^2, and g sqrt(r) / ||a_t||^2 is
+at most amp ||h||^2 or 2.42 t0 g), so every intermediate is within a few
+tens of ulps of F0; cos^2 + sin^2 = 1 holds to an ulp; and the guards of the
+sure rows (R normal, ||a_t||^2 in [1, 2^500]) keep what underflow in t
+costs t g below 2^-77 sqrt(F0). Where F < 2^-1022 / 1e-9, underflow in
+the squares could exceed the margin, but only by a few multiples of
+2^-1074, so every value of the row is still below 2^-1022 / 1e-9, and that
+is its ceiling. Where the computed g / ||a_t|| exceeds ||h||, kappa is not
+proven nonnegative and every row keeps F = inf; where it passes, the true
+kappa is at least -6 ulps of ||h||^2, the channel is then collinear to
+within rounding, and f varies with the phase by under 40 ulps of F0.
+Collinear channels keep every row anyway: their f is P ||h||^2 on every
+row, so no ceiling falls below the maximum.
+
+The scan evaluates the edge rows first, then the sure row of largest F,
+then, in row order, only the sure rows whose F is not below the best value
+so far. A row left out has every value below that best, so it can neither
+beat the maximum nor tie it, and the result is bitwise that of evaluating
+every row.
 """
+
+import math
 
 import numpy as np
 
@@ -76,6 +115,9 @@ _FLOAT_MAX = float(np.finfo(np.float64).max)
 # steering norms for which t = (...) / ||a_t||^2 neither overflows nor
 # underflows by more than ulps of a normal R
 _STEERING_NORM_SQ_RANGE = (1.0, 2.0**500)
+# the least objective ceiling: below it the squares' underflow could exceed
+# the ceiling's relative margin, but every value stays below it
+_CEILING_FLOOR = _NORMAL_MIN / _ROW_MARGIN
 
 
 def eval_candidates(
@@ -192,6 +234,27 @@ def _row_classes(amps, cos_psi, power, gamma, ch_norm_sq, st_norm_sq, cross_abs)
     return sure, ~(sure | skip), resid
 
 
+def _row_ceilings(amps, resid, ch_norm_sq, st_norm_sq, cross_abs):
+    """Ceiling F of each sure row's objective over every phase; see the module doc.
+
+    +inf on every row when the computed |h^H a_t| / ||a_t|| exceeds ||h||,
+    where no ceiling is proven; never below ``_CEILING_FLOOR``.
+    """
+    if not (ch_norm_sq >= 0.0 and cross_abs / math.sqrt(st_norm_sq) <= math.sqrt(ch_norm_sq)):
+        return np.full(amps.shape, np.inf)
+    amp_g = amps * cross_abs
+    with np.errstate(over="ignore"):
+        ceiling = np.sqrt(amp_g * amp_g + resid)
+        ceiling += amp_g
+        np.divide(resid, ceiling, out=ceiling)
+        ceiling /= st_norm_sq  # t0
+        ceiling *= cross_abs
+        ceiling += amps * ch_norm_sq
+        ceiling *= ceiling
+        ceiling *= 1.0 + _ROW_MARGIN
+    return np.maximum(ceiling, _CEILING_FLOOR, out=ceiling)
+
+
 def _row_blocks(rows, n_phase):
     """``rows`` split evenly into blocks of about ``_GRID_BLOCK_POINTS`` points."""
     per_block = max(1, _GRID_BLOCK_POINTS // n_phase)
@@ -217,9 +280,12 @@ def grid_scan(
 
     (-inf, -1, -1) when no grid point is feasible. Rows proven infeasible
     are skipped, rows proven feasible get only their objective, and the rest
-    go through ``eval_candidates`` (see the module doc); each kind is
-    evaluated in blocks of whole amp rows, of about ``_GRID_BLOCK_POINTS``
-    points each. The first maximum in row-major order wins.
+    go through ``eval_candidates`` (see the module doc). The edge rows are
+    evaluated first, then the sure row with the largest objective ceiling,
+    then only the sure rows whose ceiling is not below the best value so
+    far. Each set is evaluated in blocks of whole amp rows, of about
+    ``_GRID_BLOCK_POINTS`` points each. The first maximum in row-major order
+    wins.
     """
     psi = phases - cross_arg
     cos_psi = np.cos(psi)[None, :]
@@ -230,7 +296,9 @@ def grid_scan(
     )
     best = -np.inf
     bi = bj = -1
-    for rows, is_sure in ((np.flatnonzero(edge), False), (np.flatnonzero(sure), True)):
+
+    def scan(rows, is_sure):
+        nonlocal best, bi, bj
         for block in _row_blocks(rows, n_phase):
             amp = amps[block, None]
             if is_sure:
@@ -252,10 +320,21 @@ def grid_scan(
             k = int(np.argmax(obj))
             val = float(obj.flat[k])
             i, j = int(block[k // n_phase]), k % n_phase
-            # the blocks of the two kinds interleave in row order: an equal
-            # value wins only from an earlier point
+            # the row sets are not evaluated in row order: an equal value
+            # wins only from an earlier point
             if val > best or (val == best and (i, j) < (bi, bj)):
                 best, bi, bj = val, i, j
+
+    scan(np.flatnonzero(edge), False)
+    rows = np.flatnonzero(sure)
+    if rows.size:
+        ceiling = _row_ceilings(amps[rows], resid[rows], ch_norm_sq, st_norm_sq, cross_abs)
+        top = int(np.argmax(ceiling))
+        scan(rows[top : top + 1], True)
+        # a row whose ceiling is below the best holds no value equal to it
+        keep = ~(ceiling < best)
+        keep[top] = False
+        scan(rows[keep], True)
     return best, bi, bj
 
 

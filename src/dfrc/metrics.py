@@ -90,7 +90,10 @@ def _steering_projections(geometry: ArrayGeometry, angles: np.ndarray, *vectors)
     therefore projected, conjugated in place and projected again, and each
     angle takes the second value when its sign bit is set (-0.0 too, whose
     row is conj(a(+0.0))). Summing sum_m a_m(phi) x_m instead would be
-    conj(a(-phi)^H x) up to the sign of zero imaginary parts only.
+    conj(a(-phi)^H x) up to the sign of zero imaginary parts only. A block
+    is projected plain only when one of its angles has the sign bit clear,
+    and conjugated only when one has it set, so a one-sided grid pays for
+    one projection per row.
 
     The rows are built one block at a time, so the whole steering matrix is
     never held and each block stays in cache. Every row is summed as in a
@@ -103,19 +106,25 @@ def _steering_projections(geometry: ArrayGeometry, angles: np.ndarray, *vectors)
     rows = max(2, _PROJECTION_BLOCK_ENTRIES // geometry.num_antennas)
     if magnitudes.size == 1 < angles.size:
         magnitudes = np.repeat(magnitudes, 2)
-    parts = [([], []) for _ in vectors]
-    for block_angles in np.array_split(magnitudes, max(1, magnitudes.size // rows)):
-        block = _steering_matrix(geometry, block_angles)
-        for (positive, _), x in zip(parts, vectors):
-            positive.append(_project(block, x))
-        np.conjugate(block, out=block)
-        for (_, negative), x in zip(parts, vectors):
-            negative.append(_project(block, x))
     mirrored = np.signbit(angles)
-    return [
-        np.where(mirrored, np.concatenate(negative)[index], np.concatenate(positive)[index])
-        for positive, negative in parts
-    ]
+    # the sides each magnitude is read from: plain (0) and conjugated (1)
+    wanted = np.zeros((2, magnitudes.size), dtype=bool)
+    wanted[0, index[~mirrored]] = True
+    wanted[1, index[mirrored]] = True
+    sides = [np.zeros((2, magnitudes.size), dtype=np.complex128) for _ in vectors]
+    start = 0
+    for block_angles in np.array_split(magnitudes, max(1, magnitudes.size // rows)):
+        stop = start + block_angles.size
+        block = _steering_matrix(geometry, block_angles)
+        for side in (0, 1):
+            if not wanted[side, start:stop].any():
+                continue
+            if side:
+                np.conjugate(block, out=block)
+            for out, x in zip(sides, vectors):
+                out[side, start:stop] = _project(block, x)
+        start = stop
+    return [np.where(mirrored, out[1, index], out[0, index]) for out in sides]
 
 
 def _diagonal_sums(r: np.ndarray) -> np.ndarray:

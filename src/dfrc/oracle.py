@@ -221,8 +221,20 @@ def grid_search_oracle(
     a relative 1e-9: rows below are skipped as infeasible, rows above get
     their objective without the per-point test, and the strict per-point
     comparison still decides every point of the rows in between, and of
-    any row whose outcome is not proven (see ``kernels``). The result is
-    bitwise that of testing every point.
+    any row whose outcome is not proven (see ``kernels``).
+    On one row, with g = |h^H a_t|, r = ||a_t||^2 (power - amp^2 ||h||^2)
+    and b = amp g cos(psi), the objective is
+    amp^2 ||h||^4 + g^2 (power - amp^2 ||h||^2) / ||a_t||^2 + 2 kappa t b,
+    where kappa = ||h||^2 - g^2 / ||a_t||^2 >= 0 and t b ||a_t||^2 =
+    b (sqrt(b^2 + r) - b), whose derivative in b is
+    (sqrt(b^2 + r) - b)^2 / sqrt(b^2 + r) >= 0. So the row's maximum over
+    every phase is its value at psi = 0, and that value times (1 + 1e-9) is
+    a ceiling F that also covers the evaluator's rounding: amp ||h||^2 +
+    t g <= 4 sqrt(F) at every phase, and the row guards keep underflow out. After the rows that need the per-point test
+    and the row with the highest ceiling, only the rows whose ceiling is not
+    below the best value so far are evaluated; collinear channels (kappa
+    ~ 0) have the same ceiling on every row and keep them all. The result
+    is bitwise that of testing every point.
     With ``refine`` a zooming window search polishes the best cell: on each
     axis where a window's maximum is interior, the next window spans just
     the bracket between that maximum's two neighbours (a zoom of 1/8); where

@@ -504,6 +504,16 @@ def _classes(args):
     return sure, edge, ~(sure | edge)
 
 
+def _ceilings(args):
+    """Each row's objective ceiling F as the scan forms it; +inf off the sure rows."""
+    amps, _, _, _, _, ch_norm_sq, st_norm_sq, cross_abs, _ = args
+    sure, _, _ = _classes(args)
+    resid, _ = _row_values(args)
+    out = np.full(amps.shape, np.inf)
+    out[sure] = kernels._row_ceilings(amps[sure], resid[sure], ch_norm_sq, st_norm_sq, cross_abs)
+    return out
+
+
 class TestRowClasses:
     def test_grid_scan_matches_frozen_reference(self):
         counts = np.zeros(3, dtype=int)
@@ -539,7 +549,8 @@ class TestRowClasses:
     def test_collinear_channel_rows_are_flat(self):
         # h parallel to a_t: R is P * M in every row up to rounding, so at
         # the maximum every row is an edge row and below it every row with
-        # amp > 0 and resid >= 0 is sure
+        # amp > 0 and resid >= 0 is sure; the objective is P ||h||^2 on
+        # every row too, so no sure row's ceiling falls below the maximum
         geom = ArrayGeometry(8, 0.5)
         h = (0.3 - 1.1j) * steering_vector(geom, 0.4)
         sc = Scenario(geom, 0.4, h, 2.5)
@@ -552,7 +563,9 @@ class TestRowClasses:
                           <= 1e-13 * sc.max_target_power)
             classes = _classes(args)
             assert np.all(classes[flat_class][(amps > 0) & (resid >= 0)]), fraction
-            assert repr(kernels.grid_scan(*args)) == repr(_grid_scan_reference(*args))
+            best = kernels.grid_scan(*args)
+            assert repr(best) == repr(_grid_scan_reference(*args))
+            assert np.all(_ceilings(args)[classes[0]] >= best[0])
 
     def test_subnormal_row_values_take_the_edge_path(self):
         seen = {"amp_g_sq": 0, "resid": 0, "row": 0}
@@ -598,6 +611,8 @@ class TestRowClasses:
         assert worst <= 1e-13, worst
 
     def test_skipped_rows_reach_no_evaluator(self, reference_scenario, monkeypatch):
+        # every edge row is evaluated, no skip row is, and a sure row is left
+        # out only when its ceiling lies below the maximum the scan returns
         evaluated = []
 
         def recording(name):
@@ -611,30 +626,46 @@ class TestRowClasses:
 
         for name in ("eval_candidates", "_sure_objective"):
             monkeypatch.setattr(kernels, name, recording(name))
+        pruned = 0
         for args, label in list(_row_class_corpus())[::5]:
             evaluated.clear()
-            kernels.grid_scan(*args)
+            best, _, _ = kernels.grid_scan(*args)
             sure, edge, skip = _classes(args)
             amps = args[0]
-            rows = np.flatnonzero(np.isin(amps, evaluated))
-            assert sorted(evaluated) == sorted(amps[sure | edge].tolist()), label
-            assert not np.any(skip[rows]), label
+            seen = np.isin(amps, evaluated)
+            assert len(evaluated) == len(set(evaluated)), label  # no row twice
+            assert set(evaluated) <= set(amps[sure | edge].tolist()), label
+            assert not np.any(skip[seen]), label
+            assert np.all(seen[edge]), label
+            left_out = sure & ~seen
+            assert np.all(_ceilings(args)[left_out] < best), label
+            pruned += int(np.count_nonzero(left_out))
+        assert pruned > 1000
 
         # the reference LoS scenario at gamma = 5: the rows evaluated are
-        # exactly the rows that hold a feasible point
+        # rows that hold a feasible point, every edge row among them, and
+        # each feasible row left out is a sure row whose ceiling is below
+        # the maximum
         sc = reference_scenario
         amps = np.linspace(0.0, math.sqrt(sc.power_budget / sc.channel_norm_sq), 257)
         phases = np.linspace(0.0, 2.0 * math.pi, 257, endpoint=False)
         args = _grid_args(sc, 5.0, amps, phases)
         evaluated.clear()
-        kernels.grid_scan(*args)
+        best, _, _ = kernels.grid_scan(*args)
         psi = phases - args[2]
         obj, _ = _eval_candidates_reference(
             amps[:, None], np.cos(psi)[None, :], np.sin(psi)[None, :], *args[3:]
         )
-        feasible_rows = np.flatnonzero(np.isfinite(obj).any(axis=1))
-        assert sorted(evaluated) == amps[feasible_rows].tolist()
-        assert 0.5 < feasible_rows.size / amps.size < 0.9
+        feasible = np.isfinite(obj).any(axis=1)
+        sure, edge, _ = _classes(args)
+        seen = np.isin(amps, evaluated)
+        assert np.all(feasible[seen])
+        assert np.all(seen[edge])
+        left_out = feasible & ~seen
+        assert np.all(sure[left_out])
+        assert np.all(_ceilings(args)[left_out] < best)
+        assert 0.5 < np.count_nonzero(feasible) / amps.size < 0.9
+        assert np.count_nonzero(seen & sure) <= 8
 
     def test_sure_rows_match_the_evaluator_bitwise(self):
         # not only the maximum: every objective value of a sure row is the
@@ -769,3 +800,184 @@ class TestRowClasses:
             )
             want, _ = _eval_candidates_reference(amps[1:, None], cos_psi, sin_psi, *args[3:])
             _assert_same_bits(got, want)
+
+
+def _grid_scan_before(
+    amps, phases, cross_arg, power, gamma, ch_norm_sq, st_norm_sq, cross_abs, amp0_feasible
+):
+    # the row-class scan that evaluates every sure row, frozen: the pruned
+    # scan must return the same bits
+    psi = phases - cross_arg
+    cos_psi = np.cos(psi)[None, :]
+    sin_psi = np.sin(psi)[None, :]
+    n_phase = phases.size
+    sure, edge, resid = kernels._row_classes(
+        amps, cos_psi, power, gamma, ch_norm_sq, st_norm_sq, cross_abs
+    )
+    best = -np.inf
+    bi = bj = -1
+    for rows, is_sure in ((np.flatnonzero(edge), False), (np.flatnonzero(sure), True)):
+        for block in kernels._row_blocks(rows, n_phase):
+            amp = amps[block, None]
+            if is_sure:
+                obj = kernels._sure_objective(
+                    amp, resid[block, None], cos_psi, sin_psi, ch_norm_sq, st_norm_sq, cross_abs
+                )
+            else:
+                obj, _ = kernels.eval_candidates(
+                    amp, cos_psi, sin_psi, power, gamma,
+                    ch_norm_sq, st_norm_sq, cross_abs, amp0_feasible,
+                )
+            k = int(np.argmax(obj))
+            val = float(obj.flat[k])
+            i, j = int(block[k // n_phase]), k % n_phase
+            if val > best or (val == best and (i, j) < (bi, bj)):
+                best, bi, bj = val, i, j
+    return best, bi, bj
+
+
+def _random_vector(rng, m):
+    return rng.standard_normal(m) + 1j * rng.standard_normal(m)
+
+
+def _ceiling_corpus():
+    """(grid_scan args, label): exact orthogonal and near-collinear channels,
+    channel scales 1e-155 to 1e140 and powers 1e-300 to 1e300, wherever the
+    Scenario is valid and the amp range finite."""
+    rng = np.random.default_rng(1106)
+    geom4 = ArrayGeometry(4, 0.5)
+    channels = [
+        # h^H a_t = 0 exactly (a_t is all ones at angle 0)
+        ("orthogonal", geom4, 0.0, np.array([1.0, -1.0, 1.0, -1.0], dtype=complex)),
+    ]
+    for offset in (0.0, 1e-15, 1e-8, 1e-3):
+        geom = ArrayGeometry(8, 0.5)
+        h = (0.7 + 0.4j) * steering_vector(geom, 0.3)
+        h = h + offset * _random_vector(rng, 8)
+        channels.append((f"collinear+{offset:g}", geom, 0.3, h))
+    geom = ArrayGeometry(10, 0.5)
+    channels.append(("los", geom, -0.5, steering_vector(geom, 0.2)))
+    for kind, geom, target, h in channels:
+        for scale in (1e-155, 1e-140, 1.0, 1e140):
+            # small powers at scales 1e-155 and 1e-140: subnormal objectives
+            for power in (1e-300, 1e-150, 1e-40, 1e-30, 1e-10, 1.0, 1e10, 1e150, 1e300):
+                try:
+                    sc = Scenario(geom, target, scale * h, power)
+                except ValueError:
+                    continue  # P ||h||^2 or a norm out of range
+                amp_max = math.sqrt(sc.power_budget / sc.channel_norm_sq)
+                if not math.isfinite(amp_max):
+                    continue  # no grid: the oracle cannot scan it either
+                amps = np.linspace(0.0, amp_max, 97)
+                phases = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+                for fraction in (0.0, 0.5, 0.99):
+                    yield (
+                        _grid_args(sc, fraction * sc.max_target_power, amps, phases),
+                        f"{kind} x{scale:g} P={power:g} gamma={fraction:g}",
+                    )
+
+
+class TestRowCeilings:
+    def test_ceiling_bounds_the_evaluator_at_every_phase(self):
+        rng = np.random.default_rng(1107)
+        tiny = np.nextafter(0.0, 1.0)
+        psi = np.concatenate([[0.0, tiny, -tiny, math.pi], rng.uniform(-math.pi, math.pi, 4092)])
+        cos_psi, sin_psi = np.cos(psi)[None, :], np.sin(psi)[None, :]
+        rows = bounded = floored = cases = 0
+        kinds = set()
+        for args, label in list(_row_class_corpus()) + list(_ceiling_corpus()):
+            amps, _, _, power, gamma, ch_norm_sq, st_norm_sq, cross_abs, a0 = args
+            sure, _, _ = _classes(args)
+            if not sure.any():
+                continue
+            cases += 1
+            kinds.add(label.split()[0])
+            ceiling = _ceilings(args)
+            index = np.flatnonzero(sure)
+            # the rows of highest ceiling, the first and last, and a random few
+            picks = np.unique(
+                np.concatenate(
+                    [index[[0, -1]], index[np.argsort(ceiling[sure])[-2:]], rng.choice(index, 3)]
+                )
+            )
+            obj, _ = kernels.eval_candidates(
+                amps[picks, None], cos_psi, sin_psi, power, gamma,
+                ch_norm_sq, st_norm_sq, cross_abs, a0,
+            )
+            assert np.all(obj <= ceiling[picks, None]), label
+            finite = np.isfinite(ceiling[picks])
+            # tight above the floor: the value at psi = 0 is the ceiling up
+            # to its margin
+            tight = finite & (ceiling[picks] > kernels._CEILING_FLOOR)
+            assert np.all(
+                obj[tight, 0] >= ceiling[picks][tight] / (1.0 + kernels._ROW_MARGIN) * (1 - 1e-12)
+            ), label
+            rows += picks.size
+            bounded += int(np.count_nonzero(finite))
+            floored += int(np.count_nonzero(finite & ~tight))
+        assert cases > 300 and rows > 1500
+        assert bounded > 0.9 * rows and floored > 10
+        assert {"orthogonal", "collinear+0", "collinear+1e-08", "los", "rayleigh"} <= kinds
+
+    def test_unproven_kappa_keeps_every_row(self, reference_scenario):
+        # |h^H a_t| above ||h|| ||a_t||, as no Scenario gives it: kappa < 0,
+        # the objective peaks at psi = pi, and no row may be left out
+        sc = reference_scenario
+        amps = np.linspace(0.0, math.sqrt(sc.power_budget / sc.channel_norm_sq), 257)
+        phases = np.linspace(0.0, 2.0 * math.pi, 257, endpoint=False)
+        for gamma in (0.0, 5.0):
+            args = _grid_args(sc, gamma, amps, phases)
+            cross_abs = 1.5 * math.sqrt(args[5] * args[6])
+            args = args[:7] + (cross_abs,) + args[8:]
+            sure, _, _ = _classes(args)
+            assert sure.sum() > 100
+            assert np.all(np.isinf(_ceilings(args)))
+            assert repr(kernels.grid_scan(*args)) == repr(_grid_scan_before(*args))
+
+    def test_grid_scan_matches_the_scan_of_every_sure_row(self, reference_scenario):
+        cases = 0
+        corpora = (_scan_corpus(), _row_class_corpus(), _ceiling_corpus())
+        for corpus in corpora:
+            for args, label in corpus:
+                assert repr(kernels.grid_scan(*args)) == repr(_grid_scan_before(*args)), label
+                cases += 1
+        # 2001^2 grids, the oracle's default, on the reference scenario and
+        # on random LoS and Rayleigh channels
+        rng = np.random.default_rng(1108)
+        scenarios = [reference_scenario]
+        for kind in ("los", "rayleigh"):
+            m = int(rng.integers(2, 17))
+            geom = ArrayGeometry(m, 0.5)
+            target = float(rng.uniform(-1.5, 1.5))
+            scenarios.append(Scenario(geom, target, _channel(kind, geom, target, rng), 1.7))
+        phases = np.linspace(0.0, 2.0 * math.pi, 2001, endpoint=False)
+        for sc in scenarios:
+            amps = np.linspace(0.0, math.sqrt(sc.power_budget / sc.channel_norm_sq), 2001)
+            for fraction in (0.0, 0.1, 0.5, 0.95):
+                args = _grid_args(sc, fraction * sc.max_target_power, amps, phases)
+                assert repr(kernels.grid_scan(*args)) == repr(_grid_scan_before(*args)), fraction
+                cases += 1
+        assert cases == 80 + 288 + 12 + sum(1 for _ in _ceiling_corpus())
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 5.0, 9.5])
+    def test_few_sure_rows_reach_the_objective(self, reference_scenario, monkeypatch, gamma):
+        # a ceiling that is sound but loose would keep the result and lose
+        # the pruning: on the 2001^2 default grid at most 8 of up to 2,000
+        # sure rows are evaluated
+        sure_rows = []
+        original = kernels._sure_objective
+
+        def counting(amp, *rest):
+            sure_rows.append(amp.shape[0])
+            return original(amp, *rest)
+
+        sc = reference_scenario
+        amps = np.linspace(0.0, math.sqrt(sc.power_budget / sc.channel_norm_sq), 2001)
+        phases = np.linspace(0.0, 2.0 * math.pi, 2001, endpoint=False)
+        args = _grid_args(sc, gamma, amps, phases)
+        want = _grid_scan_before(*args)
+        monkeypatch.setattr(kernels, "_sure_objective", counting)
+        assert repr(kernels.grid_scan(*args)) == repr(want)
+        sure, _, _ = _classes(args)
+        assert sure.sum() > 400
+        assert 1 <= sum(sure_rows) <= 8

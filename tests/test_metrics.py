@@ -181,6 +181,72 @@ class TestMirroredProjections:
         assert sum(built) == 361
 
 
+def _steering_projections_before(geometry, angles, *vectors):
+    # the mirrored projections that project every block both ways, frozen:
+    # skipping the side no angle reads must keep the bits
+    magnitudes, index = np.unique(np.abs(angles), return_inverse=True)
+    rows = max(2, metrics._PROJECTION_BLOCK_ENTRIES // geometry.num_antennas)
+    if magnitudes.size == 1 < angles.size:
+        magnitudes = np.repeat(magnitudes, 2)
+    parts = [([], []) for _ in vectors]
+    for block_angles in np.array_split(magnitudes, max(1, magnitudes.size // rows)):
+        block = _steering_matrix(geometry, block_angles)
+        for (positive, _), x in zip(parts, vectors):
+            positive.append(_project(block, x))
+        np.conjugate(block, out=block)
+        for (_, negative), x in zip(parts, vectors):
+            negative.append(_project(block, x))
+    mirrored = np.signbit(angles)
+    return [
+        np.where(mirrored, np.concatenate(negative)[index], np.concatenate(positive)[index])
+        for positive, negative in parts
+    ]
+
+
+class TestOneSidedProjections:
+    @pytest.mark.parametrize(
+        "label, angles, calls",
+        [
+            # 721 magnitudes in 22 blocks of 32 or 33 rows at M = 512
+            ("one-sided", np.linspace(0.0, math.pi / 2, 721), 22),
+            # +0.0 ends the grid: its block is read both ways
+            ("one-sided negative", np.linspace(-math.pi / 2, 0.0, 721), 23),
+            ("one-sided negative without zero", np.linspace(-math.pi / 2, -0.01, 721), 22),
+            # 361 magnitudes in 11 blocks, each read both ways
+            ("default", default_angle_grid(), 22),
+        ],
+    )
+    def test_each_block_projects_only_the_sides_it_reads(self, monkeypatch, label, angles, calls):
+        geometry = ArrayGeometry(512, 0.5)
+        rng = np.random.default_rng(1202)
+        vectors = [_random_vector(rng, 512), rng.standard_normal(512) + 0j]
+        want = _steering_projections_before(geometry, angles, *vectors)
+        count = []
+
+        def counting(steering, x):
+            count.append(1)
+            return _project(steering, x)
+
+        monkeypatch.setattr(metrics, "_project", counting)
+        got = metrics._steering_projections(geometry, angles, *vectors)
+        assert len(count) == calls * len(vectors), label
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), label
+
+    def test_mirror_grids_keep_their_bits(self):
+        # signed zeros, duplicates, unpaired and single angles: the same
+        # bytes as projecting every block both ways
+        rng = np.random.default_rng(1203)
+        for m in (1, 3, 512, metrics._PROJECTION_BLOCK_ENTRIES + 3):
+            geometry = ArrayGeometry(m, 0.5)
+            vectors = [_random_vector(rng, m), np.ones(m, complex)]
+            for label, angles in _mirror_grids():
+                got = _steering_projections(geometry, angles, *vectors)
+                want = _steering_projections_before(geometry, angles, *vectors)
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes(), (m, label)
+
+
 def _quadratic_form_pattern(covariance, geometry):
     # a^H R a row by row over the default grid, clamped as beam_pattern does
     a = _exp_steering(geometry, default_angle_grid())
