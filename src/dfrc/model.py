@@ -8,6 +8,7 @@ dimensionless linear quantities.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,16 @@ def _check_angle(angle: float, label: str) -> float:
     if not -_HALF_PI <= angle <= _HALF_PI:
         raise ValueError(f"{label} must lie in [-pi/2, pi/2] rad, got {angle!r}")
     return angle
+
+
+def _integer(value, label: str) -> int:
+    """``value`` as an int: Python and numpy integers only, never a bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{label} must be an integer, got {value!r}")
 
 
 def _positive_finite(value, label: str) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .closed_form import BeamformerSolution
-from .model import InfeasibleRadarRequirement, Scenario
+from .model import InfeasibleRadarRequirement, Scenario, _integer
 
 __all__ = [
     "FalsifierResult",
@@ -388,15 +388,17 @@ def random_falsifier(
     returns the best surviving received power. Each beam is drawn from the
     exact full-space distribution via (h^H c, a_t^H c, ||c||^2), so the cost
     does not depend on the array size. Deterministic in ``seed``.
+    ``trials`` and ``seed`` must be Python or numpy integers: a float or a
+    bool raises ValueError instead of being truncated.
     """
     gamma = float(gamma)
     if not gamma >= 0.0:
         raise ValueError(f"gamma must be nonnegative, got {gamma!r}")
-    trials = int(trials)
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")
     best, best_trial, feasible = kernels.falsifier_scan(
-        int(seed),
+        _integer(seed, "seed"),
         trials,
         scenario.channel,
         scenario.target_steering,

@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 
 from .closed_form import CaseTag, optimal_received_power, solve_closed_form
-from .model import Scenario
+from .model import Scenario, _integer
 from .oracle import grid_search_oracle, kkt_check, random_falsifier
 
 __all__ = ["run_verification"]
@@ -58,8 +58,10 @@ def run_verification(
     beam by that relative magnitude before checking (for exercising the
     failure paths); the reference objective stays analytical either way.
 
-    Raises InfeasibleRadarRequirement when ``gamma`` exceeds the budget.
+    Raises InfeasibleRadarRequirement when ``gamma`` exceeds the budget, and
+    ValueError when ``trials`` or ``seed`` is not an integer.
     """
+    trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
     gamma = float(gamma)
     solution = solve_closed_form(scenario, gamma)
     if perturb:
@@ -120,8 +122,8 @@ def run_verification(
         "settings": {
             "resolution": list(oracle.grid_resolution),
             "refine": bool(refine),
-            "trials": int(trials),
-            "seed": int(seed),
+            "trials": trials,
+            "seed": seed,
             "perturb": float(perturb),
         },
         "closed_form": {

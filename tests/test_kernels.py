@@ -253,11 +253,13 @@ class TestAgainstFrozenReference:
 
 def _draws(seed, trials, sc, chunk=kernels._TRIAL_CHUNK):
     """All of the falsifier helper's (objective, target power) draws."""
-    pairs = list(
-        kernels._draws(
+    # each pair is a view into reused buffers, valid until the next step
+    pairs = [
+        (obj.copy(), tgt.copy())
+        for obj, tgt in kernels._draws(
             seed, trials, sc.channel, sc.target_steering, sc.power_budget, chunk
         )
-    )
+    ]
     return np.concatenate([p[0] for p in pairs]), np.concatenate([p[1] for p in pairs])
 
 
@@ -401,6 +403,24 @@ class TestFalsifierStream:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    @pytest.mark.parametrize("m", [10, 256])
+    def test_memory_does_not_grow_with_trials(self, make_random_scenario, m):
+        # the buffers hold one chunk: about 0.6 MiB at 2e4, 1e5 or 1e6 draws
+        sc = make_random_scenario(np.random.default_rng(m), m_lo=m, m_hi=m)
+        gamma = 0.5 * sc.max_target_power
+        peaks = {}
+        for trials in (20_000, 100_000, 1_000_000):
+            tracemalloc.start()
+            try:
+                kernels.falsifier_scan(
+                    1, trials, sc.channel, sc.target_steering, sc.power_budget, gamma
+                )
+                _, peaks[trials] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peaks[100_000] < 2**20, peaks
+        assert max(peaks.values()) - min(peaks.values()) <= 4 * 2**10, peaks
+
     def test_gamma_zero_all_feasible(self, reference_scenario):
         sc = reference_scenario
         best, best_trial, feasible = kernels.falsifier_scan(
@@ -419,6 +439,133 @@ class TestFalsifierStream:
         assert feasible == 0
         assert best == -math.inf
         assert best_trial == -1
+
+
+def _draws_before(seed, trials, channel, steering, power, chunk):
+    # the draws in fresh arrays per chunk, frozen: the buffered draws must
+    # keep every bit
+    h = np.asarray(channel, dtype=np.complex128)
+    at = np.asarray(steering, dtype=np.complex128)
+    m, rank = h.size, min(h.size, 2)
+    hh = float(np.vdot(h, h).real)
+    q1 = h / np.sqrt(hh)
+    r12 = complex(np.vdot(q1, at))
+    rest = at - r12 * q1
+    fix = complex(np.vdot(q1, rest))
+    rest -= fix * q1
+    r12_conj, r22 = (r12 + fix).conjugate(), np.sqrt(np.vdot(rest, rest).real)
+    seeds = np.random.SeedSequence(int(seed) & 0xFFFFFFFFFFFFFFFF).spawn(2)
+    normals, gammas = (np.random.Generator(np.random.Philox(s)) for s in seeds)
+    for start in range(0, trials, chunk):
+        n = min(chunk, trials - start)
+        z = normals.standard_normal((n, 2 * rank)).view(np.complex128)
+        sq = z.real * z.real + z.imag * z.imag
+        norm_sq = sq[:, 0].copy()
+        at_c = r12_conj * z[:, 0]
+        if rank == 2:
+            norm_sq += sq[:, 1]
+            at_c += r22 * z[:, 1]
+        if m > rank:
+            norm_sq += 2.0 * gammas.standard_gamma(m - rank, n)
+        tgt = (at_c.real * at_c.real + at_c.imag * at_c.imag) / norm_sq
+        yield power * hh * (sq[:, 0] / norm_sq), power * tgt
+
+
+def _falsifier_scan_before(seed, trials, channel, steering, power, gamma, chunk=None):
+    best, best_trial, feasible, start = -np.inf, -1, 0, 0
+    chunk = 16384 if chunk is None else chunk
+    for obj, tgt in _draws_before(seed, trials, channel, steering, power, chunk):
+        ok = tgt >= gamma
+        feasible += int(np.count_nonzero(ok))
+        masked = np.where(ok, obj, -np.inf)
+        k = int(np.argmax(masked))
+        if masked[k] > best:
+            best, best_trial = float(masked[k]), start + k
+        start += ok.size
+    return best, best_trial, feasible
+
+
+_SEEDS = (0, -1, 2**70)
+_GAMMA_FRACTIONS = (0.0, 0.5, 1.0, 1.0001)
+_CHUNK_EDGE_TRIALS = (1, 2, 8191, 8192, 8193, 3 * 8192 + 1)
+
+
+def _falsifier_scenarios():
+    """(label, Scenario): LoS, Rayleigh and collinear channels at M in
+    {1, 2, 3, 10, 17, 256}, and the exactly orthogonal h = (1, -1, 1, -1)
+    against a_t = (1, 1, 1, 1), each at channel scales 1e-100 to 1e100."""
+    rng = np.random.default_rng(1109)
+    scales = (1e-100, 1e-30, 1.0, 1e30, 1e100)
+    for m in (1, 2, 3, 10, 17, 256):
+        geom = ArrayGeometry(m, 0.5)
+        for kind in ("los", "rayleigh", "collinear"):
+            for scale in scales:
+                target = float(rng.uniform(-1.5, 1.5))
+                h = scale * _channel(kind, geom, target, rng)
+                power = float(10.0 ** rng.uniform(-2.0, 2.0))
+                yield f"{kind} M={m} x{scale:g}", Scenario(geom, target, h, power)
+    orthogonal = np.array([1.0, -1.0, 1.0, -1.0], dtype=complex)
+    for scale in scales:
+        sc = Scenario(ArrayGeometry(4, 0.5), 0.0, scale * orthogonal, 1.0)
+        assert sc.cross_gain == 0.0
+        yield f"orthogonal x{scale:g}", sc
+
+
+class TestFalsifierAgainstFrozenReference:
+    def test_scenario_corpus(self):
+        # every scenario at every threshold; the trial counts (one across a
+        # chunk edge), the chunk sizes and the seeds cycle through all 24
+        # combinations
+        cases = feasible = mid = 0
+        for label, sc in _falsifier_scenarios():
+            for fraction in _GAMMA_FRACTIONS:
+                trials = (1, 2, 1000, 8193)[cases % 4]
+                chunk = (None, 97)[cases // 4 % 2]
+                seed = _SEEDS[cases // 8 % 3]
+                args = (seed, trials, sc.channel, sc.target_steering, sc.power_budget,
+                        fraction * sc.max_target_power, chunk)
+                got = kernels.falsifier_scan(*args)
+                want = _falsifier_scan_before(*args)
+                assert repr(got) == repr(want), (label, seed, trials, chunk, fraction)
+                cases += 1
+                if fraction == 0.0:
+                    assert got[2] == trials
+                elif fraction > 1.0:
+                    assert got == (-math.inf, -1, 0)
+                else:
+                    mid += 1
+                    feasible += got[2] > 0
+        assert cases == 4 * (6 * 3 * 5 + 5)
+        # at 0.5 * max and max, some cases keep draws and some keep none
+        assert 0 < feasible < mid
+
+    @pytest.mark.parametrize("trials", list(_CHUNK_EDGE_TRIALS) + [100_000])
+    def test_trial_counts_and_chunks(self, trials):
+        rng = np.random.default_rng(trials)
+        scenarios = list(_falsifier_scenarios())
+        for chunk in (None, 1, 97):
+            if chunk == 1 and trials > 8193:
+                continue  # one trial per step: 1e4 steps already cover the edges
+            # one trial per step is slow: one scenario there
+            picks = rng.choice(len(scenarios), 1 if chunk == 1 else 3, replace=False)
+            for label, sc in [scenarios[k] for k in picks]:
+                fraction = _GAMMA_FRACTIONS[int(rng.integers(4))]
+                seed = _SEEDS[int(rng.integers(3))]
+                args = (seed, trials, sc.channel, sc.target_steering, sc.power_budget,
+                        fraction * sc.max_target_power, chunk)
+                want = _falsifier_scan_before(*args)
+                got = kernels.falsifier_scan(*args)
+                assert repr(got) == repr(want), (label, seed, chunk, fraction)
+
+    def test_draws_bitwise(self):
+        # the views each step yields carry the fresh-array draws bit for bit
+        for label, sc in list(_falsifier_scenarios())[::7]:
+            args = (2**70, 8193, sc.channel, sc.target_steering, sc.power_budget)
+            for chunk in (97, kernels._TRIAL_CHUNK):
+                steps = zip(kernels._draws(*args, chunk), _draws_before(*args, chunk), strict=True)
+                for (obj, tgt), (obj_want, tgt_want) in steps:
+                    _assert_same_bits(obj, obj_want)
+                    _assert_same_bits(tgt, tgt_want)
 
 
 def _grid_args(sc, gamma, amps, phases):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -238,6 +239,25 @@ class TestRandomFalsifier:
             random_falsifier(reference_scenario, -1.0, trials=10)
         with pytest.raises(ValueError):
             random_falsifier(reference_scenario, 1.0, trials=0)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("trials", 2.7), ("trials", 2.0), ("trials", True), ("trials", np.True_),
+         ("trials", "5"), ("trials", np.float64(3.0)), ("seed", 1.5), ("seed", False),
+         ("seed", None)],
+    )
+    def test_rejects_non_integers(self, reference_scenario, key, value):
+        # int() used to truncate: trials=2.7 ran 2 draws, seed=1.5 ran seed 1
+        kwargs = {"trials": 10, "seed": 0, key: value}
+        message = f"^{key} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            random_falsifier(reference_scenario, 1.0, **kwargs)
+
+    def test_numpy_integers_accepted(self, reference_scenario):
+        want = random_falsifier(reference_scenario, 2.0, trials=3000, seed=7)
+        got = random_falsifier(reference_scenario, 2.0, trials=np.int64(3000), seed=np.uint8(7))
+        assert got == want
+        assert type(got.num_trials) is int
 
 
 def _refine_all_iterations(amp0, phase0, step_amp, step_phase, amp_max, params, iters):

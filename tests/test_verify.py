@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -87,6 +88,21 @@ class TestRunVerification:
             parallel_scenario, 9.0, resolution=129, trials=5000
         )
         assert report["passed"] is True, report["failed"]
+
+    @pytest.mark.parametrize(
+        "key, value", [("trials", 2.7), ("trials", True), ("seed", 1.5), ("seed", "0")]
+    )
+    def test_non_integer_settings_rejected_before_solving(self, quick, key, value):
+        # trials=2.7 used to run 2 draws and record "trials": 2
+        message = f"^{key} must be an integer, got {re.escape(repr(value))}$"
+        with mock.patch.object(verify, "solve_closed_form", side_effect=AssertionError):
+            with pytest.raises(ValueError, match=message):
+                quick(5.0, **{key: value})
+
+    def test_numpy_integer_settings(self, quick):
+        want = quick(5.0, trials=3000, seed=4)
+        got = quick(5.0, trials=np.int32(3000), seed=np.int64(4))
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
     def test_falsifier_entries_recorded(self, quick):
         report = quick(1.0, trials=2000, seed=5)
