@@ -7,12 +7,13 @@ and the random falsifier, each with explicit pass/fail checks.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
 from .closed_form import CaseTag, optimal_received_power, solve_closed_form
 from .model import Scenario, _integer
-from .oracle import grid_search_oracle, kkt_check, random_falsifier
+from .oracle import _resolution, grid_search_oracle, kkt_check, random_falsifier
 
 __all__ = ["run_verification"]
 
@@ -59,16 +60,24 @@ def run_verification(
     failure paths); the reference objective stays analytical either way.
 
     Raises InfeasibleRadarRequirement when ``gamma`` exceeds the budget, and
-    ValueError when ``trials`` or ``seed`` is not an integer.
+    ValueError, before solving, when ``trials`` or ``seed`` is not an
+    integer, ``resolution`` is not an integer or a pair of integers (see
+    ``grid_search_oracle``), or ``perturb`` is a bool, negative or not
+    finite.
     """
     trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
+    oracle_kwargs = {} if resolution is None else {"resolution": _resolution(resolution)}
+    if isinstance(perturb, (bool, np.bool_)):
+        raise ValueError(f"perturb must be a number, got {perturb!r}")
+    perturb = float(perturb)
+    if not (perturb >= 0.0 and math.isfinite(perturb)):
+        raise ValueError(f"perturb must be nonnegative and finite, got {perturb!r}")
     gamma = float(gamma)
     solution = solve_closed_form(scenario, gamma)
     if perturb:
-        solution = _perturbed(solution, scenario, float(perturb), seed)
+        solution = _perturbed(solution, scenario, perturb, seed)
 
     reference_obj = optimal_received_power(scenario, gamma)
-    oracle_kwargs = {} if resolution is None else {"resolution": resolution}
     oracle = grid_search_oracle(scenario, gamma, refine=refine, **oracle_kwargs)
     certificate = kkt_check(solution, scenario, gamma)
     falsifier = random_falsifier(scenario, gamma, trials=trials, seed=seed)
@@ -124,7 +133,7 @@ def run_verification(
             "refine": bool(refine),
             "trials": trials,
             "seed": seed,
-            "perturb": float(perturb),
+            "perturb": perturb,
         },
         "closed_form": {
             "case": solution.case.value,

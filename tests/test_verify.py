@@ -73,6 +73,40 @@ class TestRunVerification:
         report = quick(5.0, perturb=1e-12)
         assert report["passed"] is True
 
+    @pytest.mark.parametrize(
+        "resolution", [129.0, np.int64(129) + 0.5, True, (129.5, 130), (129, True), [129]]
+    )
+    def test_non_integer_resolution_rejected_before_solving(self, quick, resolution):
+        # (129.5, 130) used to run a 129 x 130 grid and record [129, 130]
+        with mock.patch.object(verify, "solve_closed_form", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="^resolution must be an integer"):
+                quick(5.0, resolution=resolution)
+
+    @pytest.mark.parametrize(
+        "resolution, want",
+        [(np.int64(129), [129, 129]), ((np.int32(65), 129), [65, 129]), ([129, 65], [129, 65])],
+    )
+    def test_integer_resolution_recorded(self, quick, resolution, want):
+        report = quick(5.0, resolution=resolution, trials=500)
+        assert report["settings"]["resolution"] == want
+        assert report["passed"] is True
+
+    @pytest.mark.parametrize(
+        "perturb", [True, False, np.True_, -1e-3, -math.inf, math.inf, math.nan]
+    )
+    def test_bad_perturb_rejected_before_solving(self, quick, perturb):
+        # perturb=True used to be read as 1.0: a 100% corruption of the beam
+        with mock.patch.object(verify, "solve_closed_form", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="^perturb must be"):
+                quick(5.0, perturb=perturb)
+
+    def test_perturb_values_kept(self, quick):
+        assert quick(5.0, trials=500, perturb=0.0) == quick(5.0, trials=500)
+        report = quick(5.0, trials=500, perturb=np.float64(1e-3))
+        assert report["settings"]["perturb"] == 1e-3
+        assert type(report["settings"]["perturb"]) is float
+        assert report["passed"] is False
+
     def test_infeasible_raises(self, reference_scenario):
         with pytest.raises(InfeasibleRadarRequirement):
             run_verification(reference_scenario, 11.0, resolution=129, trials=100)
