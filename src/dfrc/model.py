@@ -54,6 +54,13 @@ def _integer(value, label: str) -> int:
     raise ValueError(f"{label} must be an integer, got {value!r}")
 
 
+def _flag(value, label: str) -> bool:
+    """``value`` as a bool: Python and numpy bools only."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise ValueError(f"{label} must be a bool, got {value!r}")
+
+
 def _positive_finite(value, label: str) -> float:
     value = float(value)
     if not (value > 0.0 and math.isfinite(value)):
@@ -227,6 +234,11 @@ class RadarSnrSpec:
         return [n for n in names if getattr(self, n) is not None]
 
 
+def _gamma_at_loss(gamma_cap: float, loss_db: float) -> float:
+    """Target power ``loss_db`` (<= 0) below the full-gain maximum ``gamma_cap``."""
+    return gamma_cap * 10.0 ** (loss_db / 10.0)
+
+
 def resolve_radar_spec(spec: RadarSnrSpec, scenario: Scenario) -> RadarSnrSpec:
     """Fill in all three radar-requirement forms from whichever one is supplied.
 
@@ -269,5 +281,5 @@ def resolve_radar_spec(spec: RadarSnrSpec, scenario: Scenario) -> RadarSnrSpec:
     loss = float(spec.snr_loss_db)
     if math.isnan(loss) or loss > 0.0:
         raise ValueError(f"snr_loss_db must be <= 0, got {loss!r}")
-    gamma = gamma_cap * 10.0 ** (loss / 10.0)
+    gamma = _gamma_at_loss(gamma_cap, loss)
     return RadarSnrSpec(snr_threshold=gain * gamma, snr_loss_db=loss, gamma=gamma)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .closed_form import BeamformerSolution
-from .model import InfeasibleRadarRequirement, Scenario, _integer
+from .model import InfeasibleRadarRequirement, Scenario, _flag, _integer
 
 __all__ = [
     "FalsifierResult",
@@ -231,7 +231,6 @@ def grid_search_oracle(
     gamma: float,
     resolution=DEFAULT_RESOLUTION,
     refine: bool = True,
-    refine_iters: int = DEFAULT_REFINE_ITERS,
 ) -> OracleSolution:
     """Maximize the received power by brute force over the 2-D subspace.
 
@@ -263,15 +262,17 @@ def grid_search_oracle(
     axis where a window's maximum is interior, the next window spans just
     the bracket between that maximum's two neighbours (a zoom of 1/8); where
     it is on an edge, the window pans. The search stops at a fixed point,
-    after ``refine_iters`` windows, or after the first window whose feasible
-    values all lie within 2^-46 (about 64 ulps) of that window's maximum,
-    relative to it: that spread is the evaluator's rounding, so later
+    after ``DEFAULT_REFINE_ITERS`` windows, or after the first window whose
+    feasible values all lie within 2^-46 (about 64 ulps) of that window's
+    maximum, relative to it: that spread is the evaluator's rounding, so later
     windows could only chase it. A window with no feasible value never
     stops it. On the test corpora the windows so skipped would raise the
     objective by at most ~1e-15 relative (the tests bound it by 2^-40).
     ``resolution`` is one Python or numpy integer for both axes, or a tuple
-    or list of two; a float, a bool or anything else raises ValueError.
+    or list of two; a float, a bool or anything else raises ValueError, as
+    does a ``refine`` that is not a Python or numpy bool.
     """
+    refine = _flag(refine, "refine")
     gamma = float(gamma)
     if not gamma >= 0.0:
         raise ValueError(f"gamma must be nonnegative, got {gamma!r}")
@@ -306,7 +307,13 @@ def grid_search_oracle(
     step_phase = 2.0 * math.pi / n_phase
     if refine:
         best, best_amp, best_phase, best_t = _refine(
-            float(amps[bi]), float(phases[bj]), step_amp, step_phase, amp_max, params, refine_iters
+            float(amps[bi]),
+            float(phases[bj]),
+            step_amp,
+            step_phase,
+            amp_max,
+            params,
+            DEFAULT_REFINE_ITERS,
         )
     else:
         obj, t = _eval_window(np.array([amps[bi]]), np.array([phases[bj]]), params)
@@ -322,7 +329,7 @@ def grid_search_oracle(
         phase_diff=best_phase,
         amp_b=best_t,
         grid_resolution=(n_amp, n_phase),
-        refined=bool(refine),
+        refined=refine,
     )
 
 

@@ -5,10 +5,13 @@ each to a target-power threshold, solves the closed form, and records the
 capacity and operating regime. Beam-pattern sweeps tabulate the transmit
 power versus direction for a handful of loss values; the optimum is rank
 one, so each pattern comes from two steering projections, made a block of
-angles at a time. CSV output is deterministic: fixed header,
-17-significant-digit floats, '.' decimal separator, LF line endings. Both
-writers format their rows to text lines themselves and hand them to
-``emit_csv``, the one function that writes a CSV file. No field is ever
+angles at a time. A tradeoff sweep resolves each loss to its target power
+with the same expression as ``resolve_radar_spec``, and so the same bits.
+CSV output is deterministic: fixed header, 17-significant-digit floats, '.'
+decimal separator, LF line endings. Both writers format their rows to text
+themselves and hand it to ``emit_csv``, the one function that writes a CSV
+file: the tradeoff writer one row at a time, the beam-pattern writer one
+pattern at a time, all its rows in one ``%`` operation. No field is ever
 quoted: every field is a number, except the tradeoff file's fixed
 ``CaseTag`` value, which holds no comma, quote or line break.
 """
@@ -23,7 +26,7 @@ import numpy as np
 
 from .closed_form import CaseTag, _case_and_received_power, solve_closed_form
 from .metrics import BeamPattern, _pattern_angles, _steering_projections
-from .model import RadarSnrSpec, Scenario, resolve_radar_spec
+from .model import RadarSnrSpec, Scenario, _gamma_at_loss, resolve_radar_spec
 
 __all__ = [
     "DEFAULT_BEAMPATTERN_LOSSES_DB",
@@ -72,11 +75,13 @@ def _check_loss_grid(losses) -> np.ndarray:
 def tradeoff_sweep(scenario: Scenario, losses_db=None) -> list[TradeoffPoint]:
     """Capacity and regime at each allowed SNR loss (ascending, <= 0 dB)."""
     grid = default_loss_grid_db() if losses_db is None else _check_loss_grid(losses_db)
+    gamma_cap = scenario.max_target_power
     points = []
     # scalar math per point: a vectorized version rounds differently in the
-    # last bit (numpy's power and log2 are not libm's), changing CSV bytes
+    # last bit (numpy's power and log2 are not libm's), changing CSV bytes;
+    # the grid is checked, so each gamma is resolve_radar_spec's
     for loss in grid.tolist():
-        gamma = resolve_radar_spec(RadarSnrSpec(snr_loss_db=loss), scenario).gamma
+        gamma = _gamma_at_loss(gamma_cap, loss)
         case, received, _ = _case_and_received_power(scenario, gamma)
         points.append(
             TradeoffPoint(
@@ -155,8 +160,9 @@ def _overwrite(path, data: bytes) -> None:
 def emit_csv(lines, header, destination) -> Path:
     """Write the ``header`` names, then ``lines``; returns the path.
 
-    ``lines`` yields one row at a time, already formatted and joined with
-    commas; the writers pass generators, so their formatting runs here.
+    ``lines`` yields text already formatted, each item one row with its
+    fields joined by commas or several such rows joined by LF, with no LF
+    at its end; the writers pass generators, so their formatting runs here.
     Every line, the last included, ends in LF regardless of platform; the
     ASCII text is written at once over any old bytes, and only after every
     line is formatted. I/O errors are re-raised with the path.
@@ -181,6 +187,7 @@ def write_tradeoff_csv(points, destination) -> Path:
 
 
 def _beampattern_lines(patterns):
+    """One item per non-empty pattern: its rows, LF-joined, with no final LF."""
     angles = None
     for loss, pattern in patterns:
         # the patterns of one sweep share their angle grid: format it once
@@ -189,11 +196,21 @@ def _beampattern_lines(patterns):
             degrees = [_format_float(math.degrees(a)) for a in angles.tolist()]
         if pattern.power.dtype.kind != "f":
             raise TypeError(f"pattern power must be floats, got {pattern.power.dtype}")
+        n = len(degrees)
+        if len(pattern.power) != n:
+            raise ValueError(
+                f"pattern has {n} angles but {len(pattern.power)} power values"
+            )
         prefix = _format_field(loss) + ","
-        yield from (
-            f"{prefix}{angle},{power:.17g}"
-            for angle, power in zip(degrees, pattern.power.tolist())
-        )
+        if not n:
+            continue
+        # one % operation per pattern; '%.17g' % x and format(x, '.17g') are
+        # the same PyOS_double_to_string call, so the rows are the same bytes.
+        # The prefix is a formatted number, so it holds no '%'
+        fields = [None] * (2 * n)
+        fields[0::2] = degrees
+        fields[1::2] = pattern.power.tolist()
+        yield ((prefix + "%s,%.17g\n") * n % tuple(fields))[:-1]
 
 
 def write_beampattern_csv(patterns, destination) -> Path:

@@ -8,11 +8,12 @@ and the random falsifier, each with explicit pass/fail checks.
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 
 from .closed_form import CaseTag, optimal_received_power, solve_closed_form
-from .model import Scenario, _integer
+from .model import Scenario, _flag, _integer
 from .oracle import _resolution, grid_search_oracle, kkt_check, random_falsifier
 
 __all__ = ["run_verification"]
@@ -62,13 +63,16 @@ def run_verification(
     Raises InfeasibleRadarRequirement when ``gamma`` exceeds the budget, and
     ValueError, before solving, when ``trials`` or ``seed`` is not an
     integer, ``resolution`` is not an integer or a pair of integers (see
-    ``grid_search_oracle``), or ``perturb`` is a bool, negative or not
-    finite.
+    ``grid_search_oracle``), ``refine`` is not a Python or numpy bool, or
+    ``perturb`` is not a Python or numpy real number (a bool is not one),
+    or is negative or not finite.
     """
     trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
     oracle_kwargs = {} if resolution is None else {"resolution": _resolution(resolution)}
-    if isinstance(perturb, (bool, np.bool_)):
-        raise ValueError(f"perturb must be a number, got {perturb!r}")
+    refine = _flag(refine, "refine")
+    # numpy registers its floats and integers as numbers.Real; bool is one too
+    if not isinstance(perturb, numbers.Real) or isinstance(perturb, bool):
+        raise ValueError(f"perturb must be a real number, got {perturb!r}")
     perturb = float(perturb)
     if not (perturb >= 0.0 and math.isfinite(perturb)):
         raise ValueError(f"perturb must be nonnegative and finite, got {perturb!r}")
@@ -130,7 +134,7 @@ def run_verification(
         "gamma": gamma,
         "settings": {
             "resolution": list(oracle.grid_resolution),
-            "refine": bool(refine),
+            "refine": refine,
             "trials": trials,
             "seed": seed,
             "perturb": perturb,

@@ -111,6 +111,27 @@ class TestGridSearchOracle:
         with pytest.raises(ValueError, match="^resolution must be an integer"):
             grid_search_oracle(reference_scenario, 1.0, resolution=resolution)
 
+    def test_refine_iters_removed(self, reference_scenario):
+        # it was never validated: True ran one window, -3 none yet reported
+        # refined=True, and 2.5 raised TypeError from range
+        with pytest.raises(TypeError, match="refine_iters"):
+            grid_search_oracle(reference_scenario, 1.0, resolution=129, refine_iters=3)
+
+    @pytest.mark.parametrize("refine", ["no", 1, None])
+    def test_non_bool_refine_rejected(self, reference_scenario, monkeypatch, refine):
+        # refine="no" used to run the refine and report refined=True
+        monkeypatch.setattr(oracle.kernels, "grid_scan", None)
+        message = f"^refine must be a bool, got {re.escape(repr(refine))}$"
+        with pytest.raises(ValueError, match=message):
+            grid_search_oracle(reference_scenario, 1.0, resolution=129, refine=refine)
+
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_numpy_bool_refine(self, reference_scenario, refine):
+        want = grid_search_oracle(reference_scenario, 1.0, resolution=129, refine=refine)
+        got = grid_search_oracle(reference_scenario, 1.0, resolution=129, refine=np.bool_(refine))
+        assert repr(got) == repr(want)
+        assert got.refined is refine
+
 
 class TestKktCheck:
     def test_certificate_passes_on_solutions(self, make_random_scenario):

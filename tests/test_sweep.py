@@ -25,7 +25,14 @@ from dfrc import (
     write_beampattern_csv,
     write_tradeoff_csv,
 )
-from dfrc.sweep import DEFAULT_BEAMPATTERN_LOSSES_DB, default_loss_grid_db
+from dfrc import sweep
+from dfrc.closed_form import _case_and_received_power
+from dfrc.sweep import (
+    BEAMPATTERN_HEADER,
+    DEFAULT_BEAMPATTERN_LOSSES_DB,
+    default_loss_grid_db,
+    emit_csv,
+)
 
 
 class TestTradeoffSweep:
@@ -373,3 +380,143 @@ class TestBeampatternCsvBytes:
         patterns = beampattern_sweep(reference_scenario, [-5.0])
         with pytest.raises(OSError, match="b.csv"):
             write_beampattern_csv(patterns, tmp_path / "missing" / "b.csv")
+
+
+def _beampattern_lines_before(patterns):
+    # the row-at-a-time formatter, one f-string per row, frozen: the writer
+    # must give the same bytes
+    angles = None
+    for loss, pattern in patterns:
+        if pattern.angles is not angles:
+            angles = pattern.angles
+            degrees = [format(math.degrees(a), ".17g") for a in angles.tolist()]
+        if pattern.power.dtype.kind != "f":
+            raise TypeError(f"pattern power must be floats, got {pattern.power.dtype}")
+        prefix = sweep._format_field(loss) + ","
+        yield from (
+            f"{prefix}{angle},{power:.17g}"
+            for angle, power in zip(degrees, pattern.power.tolist())
+        )
+
+
+def _tradeoff_sweep_before(scenario, losses_db=None):
+    # the sweep that resolved a RadarSnrSpec per point, frozen: the sweep
+    # must give the same points, bit for bit
+    grid = default_loss_grid_db() if losses_db is None else sweep._check_loss_grid(losses_db)
+    points = []
+    for loss in grid.tolist():
+        gamma = resolve_radar_spec(RadarSnrSpec(snr_loss_db=loss), scenario).gamma
+        case, received, _ = _case_and_received_power(scenario, gamma)
+        points.append(TradeoffPoint(loss, gamma, math.log2(1.0 + received), case))
+    return points
+
+
+def _pattern_csv_pair(patterns, tmp_path):
+    got = write_beampattern_csv(patterns, tmp_path / "now.csv").read_bytes()
+    path = tmp_path / "before.csv"
+    want = emit_csv(_beampattern_lines_before(patterns), BEAMPATTERN_HEADER, path)
+    return got, want.read_bytes()
+
+
+def _scaled_scenario(m, kind, scale):
+    sc = _random_scenario(m, kind)
+    return Scenario(sc.geometry, sc.target_angle, scale * sc.channel, sc.power_budget)
+
+
+CHANNEL_SCALES = (1e-100, 1.0, 1e100)
+# one angle, one side of broadside, and a fine grid over both
+ANGLE_GRIDS = (
+    [0.3],
+    np.linspace(0.0, math.pi / 2, 361),
+    np.linspace(-math.pi / 2, math.pi / 2, 1001),
+)
+LOSS_GRIDS = (
+    None,
+    [-0.0],
+    [-400.0],
+    [-400.0, -40.0, -3.0, -0.0],
+    np.linspace(-400.0, 0.0, 33),
+)
+# every special float, and two ordinary ones
+SPECIAL_POWERS = (0.0, -0.0, 5e-324, 1e-300, 1.5e308, math.inf, math.nan, 1 / 3, 2.5)
+
+
+class TestOneFormatPerPattern:
+    @pytest.mark.parametrize("m, kind", RANK_ONE_CASES)
+    def test_same_bytes_as_row_loop(self, tmp_path, m, kind):
+        for scale in CHANNEL_SCALES:
+            sc = _scaled_scenario(m, kind, scale)
+            for grid in (None, *ANGLE_GRIDS):
+                patterns = beampattern_sweep(sc, [-400.0, -10.0, -0.0], angle_grid=grid)
+                got, want = _pattern_csv_pair(patterns, tmp_path)
+                assert got == want, (m, kind, scale, grid)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_hand_built_patterns(self, tmp_path, dtype):
+        # float16 cannot hold 1.5e308 and becomes inf
+        with np.errstate(over="ignore"):
+            power = np.array(SPECIAL_POWERS).astype(dtype)
+        shared = np.linspace(-1.0, 1.0, power.size)
+        own = np.linspace(-1.5, 0.5, power.size)
+        empty = BeamPattern(angles=np.zeros(0), power=np.zeros(0, dtype=dtype))
+        patterns = [
+            (-3.0, BeamPattern(angles=shared, power=power)),
+            (-2.0, BeamPattern(angles=shared, power=power[::-1])),
+            (-1.5, empty),
+            (np.float32(-1.0), BeamPattern(angles=own, power=power)),
+            (-0.0, BeamPattern(angles=shared, power=power)),
+            (0, BeamPattern(angles=shared.copy(), power=power)),
+        ]
+        got, want = _pattern_csv_pair(patterns, tmp_path)
+        assert got == want
+        assert got.count(b"\n") == 1 + 5 * power.size
+        for text in (b",0\n", b",-0\n", b",inf\n", b",nan\n"):
+            assert text in got
+
+    def test_empty_patterns_write_no_rows(self, tmp_path):
+        empty = BeamPattern(angles=np.zeros(0), power=np.zeros(0))
+        for patterns in ([], [(-1.0, empty)], [(-1.0, empty), (-2.0, empty)]):
+            got, want = _pattern_csv_pair(patterns, tmp_path)
+            assert got == want == b"snr_loss_db,angle_deg,power\n"
+
+    def test_empty_pattern_still_checks_its_loss(self, tmp_path):
+        empty = BeamPattern(angles=np.zeros(0), power=np.zeros(0))
+        with pytest.raises(TypeError):
+            write_beampattern_csv([(True, empty)], tmp_path / "b.csv")
+
+    @pytest.mark.parametrize("n_angles, n_power", [(3, 2), (2, 3), (0, 1), (1, 0)])
+    def test_mismatched_lengths_rejected(self, tmp_path, n_angles, n_power):
+        # zip used to cut the longer one silently
+        path = tmp_path / "b.csv"
+        path.write_bytes(b"old")
+        good = BeamPattern(angles=np.zeros(2), power=np.ones(2))
+        bad = BeamPattern(angles=np.zeros(n_angles), power=np.ones(n_power))
+        message = f"^pattern has {n_angles} angles but {n_power} power values$"
+        with pytest.raises(ValueError, match=message):
+            write_beampattern_csv([(-2.0, good), (-1.0, bad)], path)
+        assert path.read_bytes() == b"old"
+
+    def test_one_item_per_pattern(self, reference_scenario):
+        patterns = beampattern_sweep(reference_scenario)
+        items = list(sweep._beampattern_lines(patterns))
+        assert len(items) == len(patterns)
+        assert "\n".join(items).split("\n") == list(_beampattern_lines_before(patterns))
+
+
+class TestTradeoffGammaExpression:
+    @pytest.mark.parametrize("m, kind", RANK_ONE_CASES)
+    def test_same_points_as_spec_round_trip(self, m, kind):
+        for scale in CHANNEL_SCALES:
+            sc = _scaled_scenario(m, kind, scale)
+            for grid in LOSS_GRIDS:
+                got = tradeoff_sweep(sc, grid)
+                assert repr(got) == repr(_tradeoff_sweep_before(sc, grid)), (m, kind, scale)
+                cap = sc.max_target_power
+                assert [p.gamma for p in got] == [
+                    cap * 10.0 ** (p.snr_loss_db / 10.0) for p in got
+                ]
+
+    def test_negative_zero_loss_kept(self, reference_scenario):
+        (point,) = tradeoff_sweep(reference_scenario, [-0.0])
+        assert math.copysign(1.0, point.snr_loss_db) == -1.0
+        assert point.gamma == reference_scenario.max_target_power

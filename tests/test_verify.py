@@ -92,13 +92,28 @@ class TestRunVerification:
         assert report["passed"] is True
 
     @pytest.mark.parametrize(
-        "perturb", [True, False, np.True_, -1e-3, -math.inf, math.inf, math.nan]
+        "perturb", [True, False, np.True_, -1e-3, -math.inf, math.inf, math.nan, "0.001", 1j]
     )
     def test_bad_perturb_rejected_before_solving(self, quick, perturb):
-        # perturb=True used to be read as 1.0: a 100% corruption of the beam
+        # perturb=True used to be read as 1.0: a 100% corruption of the beam,
+        # and "0.001" was accepted through float()
         with mock.patch.object(verify, "solve_closed_form", side_effect=AssertionError):
             with pytest.raises(ValueError, match="^perturb must be"):
                 quick(5.0, perturb=perturb)
+
+    @pytest.mark.parametrize("refine", ["no", 1, None])
+    def test_non_bool_refine_rejected_before_solving(self, quick, refine):
+        # refine="no" used to run the refine and record "refine": true
+        message = f"^refine must be a bool, got {re.escape(repr(refine))}$"
+        with mock.patch.object(verify, "solve_closed_form", side_effect=AssertionError):
+            with pytest.raises(ValueError, match=message):
+                quick(5.0, refine=refine)
+
+    def test_numpy_bool_refine_recorded_as_bool(self, quick):
+        want = quick(5.0, trials=500, refine=False)
+        got = quick(5.0, trials=500, refine=np.False_)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        assert got["settings"]["refine"] is False
 
     def test_perturb_values_kept(self, quick):
         assert quick(5.0, trials=500, perturb=0.0) == quick(5.0, trials=500)
