@@ -174,10 +174,12 @@ class Scenario:
                 "rescale the channel"
             )
         object.__setattr__(self, "cross_gain", cross)
-        # each factor is finite, but a product with the power budget can
-        # overflow and would surface later as an infinite capacity
+        # each factor is finite, but a product or ratio with the power budget
+        # can overflow: a product would surface later as an infinite capacity,
+        # power / ||h||^2 (the matched beam's squared weight) as an inf beam
         for label, value in (
             ("power * ||h||^2", p * hh),
+            ("power / ||h||^2", p / hh),
             ("power * M", p * m),
             ("free target power", self.free_target_power),
         ):

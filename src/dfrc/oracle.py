@@ -6,8 +6,9 @@ Three oracles, none of which call into the closed-form solver:
   subspace spanned by the channel and the target steering vector (first-order
   conditions confine the optimum to that span; the falsifier probes the full
   space separately), with optional zooming refinement around the best cell.
-* kkt_check - executable first-order optimality certificate for a candidate
-  beam: stationarity, primal feasibility, dual sign, complementary slackness.
+* kkt_check - Lagrange-dual certificate: the least upper bound weak duality
+  gives on the received power of any feasible beam, and its multiplier;
+  the problem has zero duality gap, so the bound is the optimum itself.
 * random_falsifier - seeded sampling of power-exact random beams from the
   exact full-space distribution via (h^H c, a_t^H c, ||c||^2); no feasible
   draw may ever beat the analytical optimum.
@@ -72,45 +73,15 @@ class OracleSolution:
 
 @dataclass(frozen=True)
 class KktCertificate:
-    """First-order optimality residuals and multipliers for a candidate beam.
+    """Lagrange-dual bound D on |h^H c|^2 over feasible beams, and its multiplier.
 
-    ``failures`` measures each residual against its natural size: the
-    stationarity residual against ``stationarity_scale``, lambda against
-    ``dual_scale``, the power residual against the power, and the target
-    power terms against gamma and |a_t^H c|^2. The problem is homogeneous,
-    and under h -> s h or (power, gamma) -> t (power, gamma) each residual
-    and its size change by the same factor, so the bounds hold whatever the
-    channel scale and the power budget.
+    ``dual_lambda`` is the target-power multiplier that attains D; it is None
+    at the top of the feasible range, where D is only approached as lambda
+    grows without bound.
     """
 
-    stationarity_residual: float
-    power_residual: float
-    snr_slack: float
-    dual_lambda: float
-    dual_mu: float
-    comp_slackness_residual: float
-    # ||h|| |h^H c|: the size of the objective's term in the stationarity vector
-    stationarity_scale: float
-    # ||h||^2 / ||a_t||^2: the unit of lambda (the ratio of the two curvatures)
-    dual_scale: float
-
-    def failures(self, power: float, gamma: float) -> list[str]:
-        """Names of the certificate conditions violated at the standard bounds."""
-        out = []
-        if not self.stationarity_residual <= 1e-8 * self.stationarity_scale:
-            out.append("stationarity")
-        if not abs(self.power_residual) <= 1e-9 * power:
-            out.append("power")
-        if not self.snr_slack <= 1e-9 * gamma:
-            out.append("snr_feasibility")
-        if not self.dual_lambda >= -1e-12 * self.dual_scale:
-            out.append("dual_sign")
-        # lambda * (gamma - |a_t^H c|^2) against the size of its two terms
-        target_power = gamma - self.snr_slack
-        scale = abs(self.dual_lambda) * max(gamma, target_power)
-        if not abs(self.comp_slackness_residual) <= 1e-8 * scale:
-            out.append("complementary_slackness")
-        return out
+    dual_lambda: float | None
+    bound: float
 
 
 @dataclass(frozen=True)
@@ -333,82 +304,71 @@ def grid_search_oracle(
     )
 
 
+def _dual_slope(x: float, rho: float, g: float, w: float) -> float:
+    """d'(x), as a difference of two nonnegative terms on each side of x = 1."""
+    s = math.sqrt((0.5 - 0.5 * x) ** 2 + x * rho)
+    if x < 1.0:
+        return rho * (1.0 + x + 2.0 * s) / (2.0 * s * (1.0 - x + 2.0 * s)) - g
+    return w - 2.0 * x * rho * (1.0 - rho) / (s * (x + 1.0 + 2.0 * s) * (x - 1.0 + 2.0 * s))
+
+
 def kkt_check(
     solution: BeamformerSolution, scenario: Scenario, gamma: float
 ) -> KktCertificate:
-    """First-order optimality certificate for a candidate rank-one beam.
+    """Lagrange-dual certificate for the problem at ``gamma``.
 
-    The stationarity vector is -(h^H c) h - lambda (a_t^H c) a_t + mu c;
-    projecting it onto h and a_t gives four real equations, linear in the
-    two real multipliers, solved in least squares (the pseudo-inverse keeps
-    the degenerate collinear and orthogonal geometries well defined). When
-    the target-power constraint is strictly slack, lambda is pinned to zero
-    first and only mu is fit. The residual reported is the norm of the
-    stationarity vector at those multipliers.
-
-    The projection onto h grows as ||h||^3 and the one onto a_t as ||h||^2,
-    so for a channel norm far from 1 the system overflows, underflows, or
-    its rows differ so much in size that the least-squares cutoff drops the
-    projection onto h. Such a system is solved with h scaled by the power of
-    two that brings ||h|| near 1, and the results are scaled back (exactly:
-    the scaling is a power of two). Channels with ||h||^2 in [2^-21, 2^20)
-    are solved as given.
+    For every lambda >= 0, D(lambda) = power lambda_max(h h^H + lambda a_t
+    a_t^H) - lambda gamma bounds |h^H c|^2 over every beam with ||c||^2 =
+    power and |a_t^H c|^2 >= gamma (weak duality). A QCQP with two
+    constraints has a rank-one SDP optimum, so min D is the optimum itself
+    and any beam short of it is not optimal. In units of power ||h||^2, with
+    x = lambda ||a_t||^2 / ||h||^2, rho = |h^H a_t|^2 / (||h||^2 ||a_t||^2),
+    g = gamma / (power ||a_t||^2) and w = 1 - g (formed from the slack
+    power ||a_t||^2 - gamma, so it keeps its digits near the top), D is
+    d(x) = x w + max(1 - x, 0) + x rho / (s + |1 - x| / 2) with
+    s = sqrt(((1 - x) / 2)^2 + x rho): a convex, scale-free function whose
+    terms are all nonnegative, minimized by bisection on the sign of d'.
+    d'(0) = rho - g, so x = 0 when g <= rho. At rho = 0, d = x w + max(1 -
+    x, 0) has its minimum w at the kink x = 1. When w <= 0 (the top of the
+    feasible range) d decreases towards rho and no finite multiplier exists.
+    ||h||^2 and |h^H a_t| are formed from the vectors; ||a_t||^2 is the
+    scenario's M, so the top of the range is where ``classify_case`` puts it.
+    ``solution`` is only checked for shape: the certificate depends on the
+    problem, and the caller compares the candidate's |h^H c|^2 with it.
     """
+    h = scenario.channel
+    c_shape = np.shape(solution.vector_c)
+    if c_shape != h.shape:
+        raise ValueError(f"candidate beam must have shape {h.shape}, got {c_shape}")
+    hh = float(np.vdot(h, h).real)
+    aa = scenario.steering_norm_sq
+    cross = abs(complex(np.vdot(h, scenario.target_steering)))
+    rho = (cross / (math.sqrt(hh) * math.sqrt(aa))) ** 2
+    top = scenario.power_budget * aa
     gamma = float(gamma)
-    c = np.asarray(solution.vector_c, dtype=np.complex128)
-    hh = scenario.channel_norm_sq
-    exponent = math.frexp(hh)[1]
-    shift = 0 if abs(exponent) <= 20 else -(exponent // 2)
-    unit = math.ldexp(1.0, shift)  # h is solved for as unit * h
-    h = scenario.channel * unit
-    at = scenario.target_steering
-    if c.shape != h.shape:
-        raise ValueError(f"candidate beam must have shape {h.shape}, got {c.shape}")
-    hc = complex(np.vdot(h, c))
-    ac = complex(np.vdot(at, c))
-    g = scenario.cross_gain * unit
-    hh_unit = hh * unit * unit
-    target_power = abs(ac) ** 2
-
-    # unknowns x = (lambda, mu); rows are projections onto h, then a_t
-    coeff = np.array(
-        [
-            [-ac * g, hc],
-            [-ac * scenario.steering_norm_sq, ac],
-        ],
-        dtype=np.complex128,
-    )
-    rhs = np.array([hc * hh_unit, hc * np.conj(g)], dtype=np.complex128)
-    coeff_r = np.vstack([coeff.real, coeff.imag])
-    rhs_r = np.concatenate([rhs.real, rhs.imag])
-    if target_power > gamma * (1.0 + 1e-9):
-        # strictly slack constraint: complementary slackness pins lambda to
-        # zero (the min-norm least-squares answer would not, when the
-        # channel and steering directions are degenerate; at gamma = 0 with
-        # h orthogonal to a_t its column is rounding noise)
-        lam = 0.0
-        col = coeff_r[:, 1]
-        mu = float(col @ rhs_r / (col @ col))
+    g, w = gamma / top, (top - gamma) / top
+    if g <= rho:
+        x, d = 0.0, 1.0
+    elif w <= 0.0:
+        x, d = None, rho
+    elif rho == 0.0:
+        x, d = 1.0, w
     else:
-        duals, *_ = np.linalg.lstsq(coeff_r, rhs_r, rcond=None)
-        lam, mu = float(duals[0]), float(duals[1])
-
-    stat = -hc * h - lam * ac * at + mu * c
-    # undo the scaling: the multipliers and the stationarity vector carry
-    # two factors of h
-    back = math.ldexp(1.0, -2 * shift)
-    lam, mu = lam * back, mu * back
-    power_actual = float(np.vdot(c, c).real)
-    snr_slack = gamma - target_power
+        lo, hi = 0.0, 1.0
+        while _dual_slope(hi, rho, g, w) < 0.0:
+            lo, hi = hi, 2.0 * hi
+        while hi - lo > 2.0**-52 * hi:
+            mid = 0.5 * (lo + hi)
+            if _dual_slope(mid, rho, g, w) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        x = 0.5 * (lo + hi)
+        s = math.sqrt((0.5 - 0.5 * x) ** 2 + x * rho)
+        d = x * w + max(1.0 - x, 0.0) + x * rho / (s + 0.5 * abs(1.0 - x))
     return KktCertificate(
-        stationarity_residual=float(np.linalg.norm(stat)) * back,
-        power_residual=power_actual - scenario.power_budget,
-        snr_slack=snr_slack,
-        dual_lambda=lam,
-        dual_mu=mu,
-        comp_slackness_residual=lam * snr_slack,
-        stationarity_scale=math.sqrt(hh) * (abs(hc) / unit),
-        dual_scale=hh / scenario.steering_norm_sq,
+        dual_lambda=None if x is None else x * hh / aa,
+        bound=scenario.power_budget * hh * d,
     )
 
 

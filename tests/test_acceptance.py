@@ -1,4 +1,4 @@
-"""Acceptance gate: eight end-to-end criteria the library must meet.
+"""Acceptance gate: nine end-to-end criteria the library must meet.
 
 Each test covers one numbered criterion and prints a single PASS/FAIL
 verdict line with the measured margins. The randomized corpus (criteria
@@ -29,6 +29,7 @@ from dfrc import (
     resolve_radar_spec,
     run_verification,
     solve_closed_form,
+    steering_vector,
     tradeoff_sweep,
     write_tradeoff_csv,
 )
@@ -43,6 +44,8 @@ FALSIFIER_SLACK = 1e-9
 ANCHOR_ATOL = 1e-9
 BOUNDARY_ATOL = 1e-9
 CORPUS_TIME_BUDGET_S = 300.0
+HARSH_SEED = 9
+HARSH_DUAL_TOL = 1e-12
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
@@ -117,42 +120,31 @@ def test_criterion_1_oracle_equivalence(corpus):
     )
 
 
+def _dual_margins(scenario, gamma, solution):
+    """(beam gap D - |h^H c|^2, |reference - D|), in units of P ||h||^2."""
+    cert = kkt_check(solution, scenario, gamma)
+    unit = scenario.power_budget * scenario.channel_norm_sq
+    received = abs(complex(np.vdot(scenario.channel, solution.vector_c))) ** 2
+    reference = optimal_received_power(scenario, gamma)
+    return (cert.bound - received) / unit, abs(reference - cert.bound) / unit
+
+
 def test_criterion_2_kkt_certification(corpus):
-    violations = []
-    n_interior = 0
-    n_corner = 0
+    # the Lagrange-dual bound D is the optimum: every beam reaches it and the
+    # analytical optimum equals it, the top of the feasible range included
+    worst_gap = worst_bound = 0.0
+    n = n_corner = 0
     for scenario, gammas, solutions in corpus:
-        power = scenario.power_budget
         for gamma, solution in zip(gammas, solutions):
-            gamma = float(gamma)
-            cert = kkt_check(solution, scenario, gamma)
-            failed = cert.failures(power, gamma)
-            if gamma >= scenario.max_target_power * (1.0 - 1e-12):
-                # top of the feasible range: both constraint gradients are
-                # parallel to the beam, finite multipliers do not exist, and
-                # the feasible set is a single ray; being on that ray (power
-                # and threshold met exactly) is itself the optimality
-                # certificate, so only the primal bounds apply here
-                failed = [f for f in failed if f in ("power", "snr_feasibility")]
-                c = solution.vector_c
-                on_ray = (
-                    abs(float(np.vdot(c, c).real) - power) <= 1e-9 * power
-                    and abs(np.vdot(scenario.target_steering, c)) ** 2
-                    >= gamma * (1.0 - 1e-9)
-                )
-                if not on_ray:
-                    failed.append("corner_ray")
-                n_corner += 1
-            else:
-                n_interior += 1
-            if failed:
-                violations.append((scenario.geometry.num_antennas, gamma, failed))
+            gap, bound = _dual_margins(scenario, float(gamma), solution)
+            worst_gap, worst_bound = max(worst_gap, gap), max(worst_bound, bound)
+            n += 1
+            n_corner += bool(gamma == scenario.max_target_power)
     _verdict(
         "criterion 2 kkt certification",
-        not violations,
-        f"{n_interior} interior certificates, {n_corner} degenerate-corner points, "
-        f"{len(violations)} with violated bounds"
-        + (f", first: {violations[0]}" if violations else ""),
+        worst_gap <= FALSIFIER_SLACK and worst_bound <= FALSIFIER_SLACK,
+        f"{n} dual certificates ({n_corner} at the top of the feasible range), "
+        f"worst beam gap {worst_gap:.1e}, worst |reference - D| {worst_bound:.1e} x P||h||^2",
     )
 
 
@@ -344,4 +336,51 @@ def test_criterion_8_determinism(tmp_path):
         ok,
         f"verify reports identical={reports_equal} (passed={first['passed']}), "
         f"sweep CSV byte-identical={bytes_a == bytes_b}",
+    )
+
+
+def _harsh_corpus():
+    """(scenario, gamma) points far outside criteria 1-3's LoS corpus.
+
+    M from 1 to 1,000; line-of-sight, Rayleigh, orthogonal and near-collinear
+    channels and the exact integer channel h = (1, -1, ...) against a target
+    at 0 (h^H a_t = 0 exactly); channel scales 1e-140 to 1e140, P from 1e-8
+    to 1e8; gamma / (P M) up to 1 - 2^-52 and 1.
+    """
+    rng = np.random.default_rng(HARSH_SEED)
+    fractions = (0.0, 0.2, 0.5, 0.9, 0.999, 1.0 - 1e-13, 1.0 - 2.0**-52, 1.0)
+    points = []
+    for m in (1, 2, 3, 10, 64, 1000):
+        geom = ArrayGeometry(num_antennas=m, spacing_over_wavelength=0.5)
+        at = steering_vector(geom, 0.3)
+        rayleigh, nudge, h = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+        channels = [
+            (0.3, steering_vector(geom, -0.7)),
+            (0.3, rayleigh),
+            (0.3, np.exp(0.4j) * at + 1e-9 * nudge),
+            (0.0, np.array([(-1.0) ** k for k in range(m)], dtype=np.complex128)),
+        ]
+        if m > 1:
+            channels.append((0.3, h - np.vdot(at, h) / m * at))
+        for target, h in channels:
+            for scale in (1e-140, 1e-70, 1.0, 1e70, 1e140):
+                for power in (1e-8, 1.0, 1e8):
+                    scenario = Scenario(geom, target, scale * h, power)
+                    points += [(scenario, f * power * m) for f in fractions]
+    return points
+
+
+def test_criterion_9_dual_bound_on_harsh_inputs():
+    t0 = time.perf_counter()
+    worst_gap = worst_bound = 0.0
+    points = _harsh_corpus()
+    for scenario, gamma in points:
+        gap, bound = _dual_margins(scenario, gamma, solve_closed_form(scenario, gamma))
+        worst_gap, worst_bound = max(worst_gap, gap), max(worst_bound, bound)
+    elapsed = time.perf_counter() - t0
+    _verdict(
+        "criterion 9 dual bound on harsh inputs",
+        worst_gap <= HARSH_DUAL_TOL and worst_bound <= HARSH_DUAL_TOL and elapsed < 1.0,
+        f"{len(points)} points, worst beam gap {worst_gap:.1e}, worst |reference - D| "
+        f"{worst_bound:.1e} x P||h||^2, {elapsed:.2f}s",
     )

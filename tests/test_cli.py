@@ -211,6 +211,19 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid scenario: power * ||h||^2 overflows")
 
+    def test_matched_weight_overflow_is_usage_error(self, tmp_path, capsys):
+        # P ||h||^2 and P M are finite, P / ||h||^2 is not: the matched beam
+        # would come out as inf entries next to a finite capacity
+        cfg = json.loads(json.dumps(REFERENCE))
+        del cfg["scenario"]["user_angle_deg"]
+        cfg["scenario"].update(target_angle_deg=0.0, power=1e300, channel=[[1e-140, 0.0]] * 10)
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        rc = main(["solve", "--config", str(path)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid scenario: power / ||h||^2 overflows float64; ")
+
     def test_out_file_rewritten_exactly(self, tmp_path, capsys):
         out = tmp_path / "solution.txt"
         out.write_text("stale\n" * 1000)
@@ -645,8 +658,8 @@ class TestVerifyFailurePath:
         captured = capsys.readouterr()
         report = json.loads(captured.out)
         assert report["passed"] is False
-        assert "kkt_stationarity" in report["failed"]
-        assert "kkt_stationarity" in captured.err
+        assert "solution_power" in report["failed"]
+        assert "solution_power" in captured.err
 
 
 class TestUnknownConfigKeys:

@@ -8,6 +8,7 @@ from dfrc import (
     RadarSnrSpec,
     Scenario,
     resolve_radar_spec,
+    solve_closed_form,
     steering_vector,
 )
 
@@ -153,7 +154,8 @@ class TestScenario:
         [
             # ||h||^2 = 1.6e298 and P = 1e11 are finite, P ||h||^2 is not
             (np.full(10, 4e148), 1e11, "power \\* \\|\\|h\\|\\|\\^2"),
-            (np.full(10, 1e-10), 1e308, "power \\* M"),
+            # ||h||^2 = 0.9 keeps P ||h||^2 and P / ||h||^2 finite, P M is not
+            (np.full(10, 0.3), 1e308, "power \\* M"),
             # P |h^H a_t|^2 = 1e310 although P ||h||^2 = 1e308 and P M = 1e302
             (np.full(100, 1e3 + 0j), 1e300, "free target power"),
         ],
@@ -164,6 +166,20 @@ class TestScenario:
             Scenario(geom, 0.0, channel, power)
         sc = Scenario(geom, 0.0, channel, power / 1e4)
         assert math.isfinite(sc.free_target_power)
+
+    def test_matched_weight_overflow_is_rejected(self):
+        # P = 1e300 on a line-of-sight channel scaled by 1e-140 at M = 10:
+        # P ||h||^2 = 1e21, but the matched beam's squared weight P / ||h||^2
+        # overflows, which gave an inf beam next to a finite capacity
+        geom = ArrayGeometry(10, 0.5)
+        ch = 1e-140 * steering_vector(geom, 0.2)
+        with pytest.raises(ValueError, match=r"^power / \|\|h\|\|\^2 overflows float64; "):
+            Scenario(geom, 0.0, ch, 1e300)
+        # ||h||^2 = 1e-19 at P = 1e304: P M and P ||h||^2 are finite
+        with pytest.raises(ValueError, match=r"^power / \|\|h\|\|\^2 overflows float64; "):
+            Scenario(geom, 0.0, np.full(10, 1e-10), 1e304)
+        sc = Scenario(geom, 0.0, ch, 1e8)
+        assert np.all(np.isfinite(solve_closed_form(sc, 0.0).vector_c))
 
     def test_channel_norm_sq_bits_for_normal_inputs(self):
         rng = np.random.default_rng(17)
