@@ -10,8 +10,18 @@ cos and odd sin this holds bit for bit. So the projections build one
 steering row per distinct |phi| and project it and its conjugate: the
 default grid, symmetric about broadside, takes 361 rows instead of 721,
 and every value keeps the bits of its own row.
+
+The rows depend only on the array and the grid, not on the vectors
+projected. When all of a grid's rows fit in one projection block (fewer
+than twice a block's rows, so at most 512 KiB up to 8,192 antennas: M = 8
+and M = 64 on the default grid), that block is built once per (array,
+grid) and reused, read-only, by every later pattern or sweep on the same
+pair. Larger grids stay streamed a block at a time and are not kept: at
+M = 512 the default grid's rows would add about 3 MB to the peak memory of
+every process that draws one pattern.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,6 +82,19 @@ def _steering_matrix(geometry: ArrayGeometry, angles: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=2)
+def _steering_block(geometry: ArrayGeometry, magnitudes: bytes) -> np.ndarray:
+    """The read-only steering rows of one whole grid of float64 ``magnitudes``.
+
+    Keyed on the element count, the spacing and the grid's bytes. Two
+    entries: a design over several arrays runs each array's scenarios
+    together, and holds at most two one-block arrays (M = 8 and M = 64).
+    """
+    block = _steering_matrix(geometry, np.frombuffer(magnitudes))
+    block.setflags(write=False)
+    return block
+
+
 def _project(steering: np.ndarray, x: np.ndarray) -> np.ndarray:
     # a(phi)^H x for every row a(phi)^T of ``steering``; einsum instead of a
     # BLAS matvec, whose thread wake-up alone can cost milliseconds
@@ -97,7 +120,10 @@ def _steering_projections(geometry: ArrayGeometry, angles: np.ndarray, *vectors)
 
     The rows are built one block at a time, so the whole steering matrix is
     never held and each block stays in cache. Every row is summed as in a
-    single unblocked projection, so the results are the same bits.
+    single unblocked projection, so the results are the same bits. A grid of
+    one block takes it from ``_steering_block`` and conjugates it into a
+    scratch array; a grid of several builds each block and conjugates it in
+    place.
     """
     magnitudes, index = np.unique(np.abs(angles), return_inverse=True)
     # at least two rows per block unless there is only one angle: beyond
@@ -112,15 +138,19 @@ def _steering_projections(geometry: ArrayGeometry, angles: np.ndarray, *vectors)
     wanted[0, index[~mirrored]] = True
     wanted[1, index[mirrored]] = True
     sides = [np.zeros((2, magnitudes.size), dtype=np.complex128) for _ in vectors]
+    count = magnitudes.size // rows
+    if count <= 1:
+        blocks = [_steering_block(geometry, magnitudes.tobytes())]
+    else:
+        blocks = (_steering_matrix(geometry, b) for b in np.array_split(magnitudes, count))
     start = 0
-    for block_angles in np.array_split(magnitudes, max(1, magnitudes.size // rows)):
-        stop = start + block_angles.size
-        block = _steering_matrix(geometry, block_angles)
+    for block in blocks:
+        stop = start + block.shape[0]
         for side in (0, 1):
             if not wanted[side, start:stop].any():
                 continue
             if side:
-                np.conjugate(block, out=block)
+                block = np.conjugate(block, out=block if block.flags.writeable else None)
             for out, x in zip(sides, vectors):
                 out[side, start:stop] = _project(block, x)
         start = stop

@@ -10,12 +10,15 @@ with the same expression as ``resolve_radar_spec``, and so the same bits.
 CSV output is deterministic: fixed header, 17-significant-digit floats, '.'
 decimal separator, LF line endings. Both writers format their rows to text
 themselves and hand it to ``emit_csv``, the one function that writes a CSV
-file: the tradeoff writer one row at a time, the beam-pattern writer one
-pattern at a time, all its rows in one ``%`` operation. No field is ever
-quoted: every field is a number, except the tradeoff file's fixed
+file: the tradeoff writer all its rows in one ``%`` operation, the
+beam-pattern writer all the rows of one pattern in one ``%`` operation,
+with the angle column of a grid formatted once and reused. Every number
+field takes its ``%`` conversion from one table of field types. No field is
+ever quoted: every field is a number, except the tradeoff file's fixed
 ``CaseTag`` value, which holds no comma, quote or line break.
 """
 
+import functools
 import math
 import os
 import stat
@@ -67,7 +70,8 @@ def _check_loss_grid(losses) -> np.ndarray:
         raise ValueError("loss grid must be a nonempty 1-D array")
     if np.any(np.isnan(grid)) or np.any(grid > 0.0):
         raise ValueError("loss grid entries must be <= 0 dB")
-    if np.any(np.diff(grid) <= 0.0):
+    # neighbours compared directly: the difference of two -inf is NaN
+    if not np.all(grid[1:] > grid[:-1]):
         raise ValueError("loss grid must be strictly ascending")
     return grid
 
@@ -122,23 +126,27 @@ def beampattern_sweep(scenario: Scenario, losses_db=None, angle_grid=None):
     return out
 
 
-def _format_float(value: float) -> str:
-    return format(value, ".17g")
+# the % conversion of each number field type, with the comma that ends the
+# field: keyed on the exact type, so that bool (an int subclass) is
+# rejected. An int is written as str writes it, and '%.17g' % x is the same
+# PyOS_double_to_string call as format(x, '.17g')
+_FIELD_FORMATS = {float: "%.17g,", int: "%s,"}
 
 
-# keyed on the exact type, so that bool (an int subclass) is rejected
-_NUMBER_FORMATTERS = {int: str, float: _format_float}
+def _number_fields(values):
+    """The ``%`` conversion of each number field, and the values to format.
 
-
-def _format_field(value) -> str:
-    # a numpy scalar is written as the Python value it holds; np.bool_ holds
-    # a bool and is rejected with every other type
-    native = value.item() if isinstance(value, np.generic) else value
-    try:
-        formatter = _NUMBER_FORMATTERS[type(native)]
-    except KeyError:
-        raise TypeError(f"unsupported CSV field type: {value!r}") from None
-    return formatter(native)
+    A numpy scalar is written as the Python value it holds; np.bool_ holds a
+    bool and is rejected with every type not in the table.
+    """
+    formats = list(map(_FIELD_FORMATS.get, map(type, values)))
+    if None in formats:
+        natives = [v.item() if isinstance(v, np.generic) else v for v in values]
+        formats = list(map(_FIELD_FORMATS.get, map(type, natives)))
+        if None in formats:
+            raise TypeError(f"unsupported CSV field type: {values[formats.index(None)]!r}")
+        values = natives
+    return formats, values
 
 
 def _overwrite(path, data: bytes) -> None:
@@ -176,24 +184,48 @@ def emit_csv(lines, header, destination) -> Path:
     return path
 
 
+def _tradeoff_lines(points):
+    """All rows as one item, LF-joined, with no final LF; no item for no points."""
+    points = list(points)
+    if not points:
+        return
+    formats, numbers = _number_fields(
+        [v for p in points for v in (p.snr_loss_db, p.gamma, p.capacity_bits)]
+    )
+    # four fields a row, the case value last: it goes in as a %s field, so
+    # a '%' in it would never be read as a conversion
+    template = [None] * (4 * len(points))
+    fields = [None] * (4 * len(points))
+    for column in range(3):
+        template[column::4] = formats[column::3]
+        fields[column::4] = numbers[column::3]
+    template[3::4] = ["%s\n"] * len(points)
+    fields[3::4] = [p.case.value for p in points]
+    yield ("".join(template) % tuple(fields))[:-1]
+
+
 def write_tradeoff_csv(points, destination) -> Path:
     """Emit tradeoff points with columns snr_loss_db,gamma,capacity_bits,case."""
-    lines = (
-        f"{_format_field(p.snr_loss_db)},{_format_field(p.gamma)},"
-        f"{_format_field(p.capacity_bits)},{p.case.value}"
-        for p in points
-    )
-    return emit_csv(lines, TRADEOFF_HEADER, destination)
+    return emit_csv(_tradeoff_lines(points), TRADEOFF_HEADER, destination)
+
+
+@functools.lru_cache(maxsize=2)
+def _degree_column(angles: bytes) -> tuple:
+    """The angle_deg field of each of the float64 ``angles`` (radians)."""
+    return tuple(format(math.degrees(a), ".17g") for a in np.frombuffer(angles).tolist())
 
 
 def _beampattern_lines(patterns):
     """One item per non-empty pattern: its rows, LF-joined, with no final LF."""
-    angles = None
     for loss, pattern in patterns:
-        # the patterns of one sweep share their angle grid: format it once
-        if pattern.angles is not angles:
-            angles = pattern.angles
-            degrees = [_format_float(math.degrees(a)) for a in angles.tolist()]
+        if pattern.angles.ndim != 1 or pattern.angles.dtype.kind not in "biuf":
+            raise TypeError(
+                f"pattern angles must be a 1-D real array, got {pattern.angles.dtype}"
+                f" of shape {pattern.angles.shape}"
+            )
+        # keyed on the float64 values, which are the ones math.degrees
+        # would read from the Python numbers the array holds
+        degrees = _degree_column(pattern.angles.astype(np.float64, copy=False).tobytes())
         if pattern.power.dtype.kind != "f":
             raise TypeError(f"pattern power must be floats, got {pattern.power.dtype}")
         n = len(degrees)
@@ -201,12 +233,12 @@ def _beampattern_lines(patterns):
             raise ValueError(
                 f"pattern has {n} angles but {len(pattern.power)} power values"
             )
-        prefix = _format_field(loss) + ","
+        (loss_format,), (loss,) = _number_fields([loss])
         if not n:
             continue
-        # one % operation per pattern; '%.17g' % x and format(x, '.17g') are
-        # the same PyOS_double_to_string call, so the rows are the same bytes.
-        # The prefix is a formatted number, so it holds no '%'
+        # one % operation per pattern; the prefix is a formatted number, so
+        # it holds no '%'
+        prefix = loss_format % loss
         fields = [None] * (2 * n)
         fields[0::2] = degrees
         fields[1::2] = pattern.power.tolist()

@@ -417,6 +417,15 @@ class TestSweepCommand:
         rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
         assert rc == EXIT_USAGE
 
+    def test_repeated_minus_inf_rejected(self, tmp_path, capsys):
+        # the difference of two -inf is NaN, which no "<= 0" test catches
+        path = write_config(tmp_path, {"sweep": {"loss_grid_db": [-math.inf, -math.inf]}})
+        assert "-.inf" in path.read_text()
+        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: invalid loss grid: ")
+        assert not (tmp_path / "out" / "tradeoff.csv").exists()
+
     @pytest.mark.parametrize(
         "sweep",
         [

@@ -169,7 +169,8 @@ class TestMirroredProjections:
 
     def test_default_grid_builds_each_magnitude_once(self, reference_scenario, monkeypatch):
         # the default grid is symmetric: one beam-pattern sweep builds 361
-        # steering rows, one per |phi|, not 721
+        # steering rows, one per |phi|, not 721; the grid is one block at
+        # M = 10, so a second sweep on the same array builds none
         built = []
 
         def counting(geometry, angles):
@@ -177,6 +178,9 @@ class TestMirroredProjections:
             return _steering_matrix(geometry, angles)
 
         monkeypatch.setattr(metrics, "_steering_matrix", counting)
+        metrics._steering_block.cache_clear()
+        beampattern_sweep(reference_scenario)
+        assert sum(built) == 361
         beampattern_sweep(reference_scenario)
         assert sum(built) == 361
 
@@ -245,6 +249,69 @@ class TestOneSidedProjections:
                 want = _steering_projections_before(geometry, angles, *vectors)
                 for g, w in zip(got, want):
                     assert g.tobytes() == w.tobytes(), (m, label)
+
+
+def _cache_grids():
+    """(label, angles) for the grids the steering-block cache must keep bits on."""
+    return [
+        ("default", default_angle_grid()),
+        ("one-sided", np.linspace(0.0, math.pi / 2, 361)),
+        ("single angle", np.array([0.4])),
+        ("plus-minus zero", np.array([0.0, -0.0, 0.0, -0.0])),
+    ]
+
+
+class TestSteeringBlockCache:
+    def test_hits_and_misses_keep_their_bits(self):
+        # each case runs between two others, so that with two entries kept
+        # both hits and misses are checked against projecting every block
+        # both ways from freshly built rows
+        rng = np.random.default_rng(1204)
+        cases = [
+            (m, spacing, label, angles)
+            for m in (1, 8, 64, 512)
+            for spacing in (0.5, 0.37)
+            for label, angles in _cache_grids()
+        ]
+        metrics._steering_block.cache_clear()
+        for a, b in zip(cases, cases[1:] + cases[:1]):
+            for m, spacing, label, angles in (a, b, a):
+                geometry = ArrayGeometry(m, spacing)
+                vectors = [_random_vector(rng, m), rng.standard_normal(m) + 0j]
+                got = _steering_projections(geometry, angles, *vectors)
+                want = _steering_projections_before(geometry, angles, *vectors)
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes(), (m, spacing, label)
+        info = metrics._steering_block.cache_info()
+        assert info.hits > 0 and info.misses > 0
+
+    def test_cached_rows_are_read_only_and_kept(self, reference_scenario):
+        sc = reference_scenario
+        angles = default_angle_grid()
+        magnitudes = np.unique(np.abs(angles))
+        key = (sc.geometry, magnitudes.tobytes())
+        block = metrics._steering_block(*key)
+        before = block.copy()
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 0.0
+        # the default grid reads every row plain and conjugated
+        _steering_projections(sc.geometry, angles, sc.channel, sc.target_steering)
+        assert metrics._steering_block(*key) is block
+        assert block.tobytes() == before.tobytes()
+        assert np.array_equal(block, _steering_matrix(sc.geometry, magnitudes))
+
+    def test_multi_block_grid_is_not_cached(self):
+        metrics._steering_block.cache_clear()
+        geometry = ArrayGeometry(512, 0.5)
+        _steering_projections(geometry, default_angle_grid(), np.ones(512, complex))
+        assert metrics._steering_block.cache_info().currsize == 0
+
+    def test_bounded(self):
+        for m in range(1, 51):
+            _steering_projections(ArrayGeometry(m, 0.5), default_angle_grid(), np.ones(m, complex))
+        info = metrics._steering_block.cache_info()
+        assert info.currsize <= info.maxsize
 
 
 def _quadratic_form_pattern(covariance, geometry):

@@ -4,6 +4,9 @@ import math
 import os
 import re
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,9 +85,24 @@ class TestTradeoffSweep:
             tradeoff_sweep(reference_scenario, [-1.0, 0.5])  # positive entry
         with pytest.raises(ValueError):
             tradeoff_sweep(reference_scenario, [])
+        with pytest.raises(ValueError, match="strictly ascending"):
+            tradeoff_sweep(reference_scenario, [-math.inf, -math.inf])  # repeated
+
+    def test_accepts_minus_inf_first(self, reference_scenario):
+        points = tradeoff_sweep(reference_scenario, [-math.inf, -5.0])
+        assert [p.snr_loss_db for p in points] == [-math.inf, -5.0]
 
 
 class TestBeampatternSweep:
+    def test_rejects_bad_grids(self, reference_scenario):
+        for grid in ([0.0, -1.0], [-1.0, 0.5], [], [-math.inf, -math.inf], [-3.0, -3.0]):
+            with pytest.raises(ValueError):
+                beampattern_sweep(reference_scenario, grid)
+
+    def test_accepts_minus_inf_first(self, reference_scenario):
+        out = beampattern_sweep(reference_scenario, [-math.inf, -5.0])
+        assert [loss for loss, _ in out] == [-math.inf, -5.0]
+
     def test_default_losses(self, reference_scenario):
         out = beampattern_sweep(reference_scenario)
         assert [loss for loss, _ in out] == list(DEFAULT_BEAMPATTERN_LOSSES_DB)
@@ -329,8 +347,9 @@ class TestTradeoffCsvBytes:
         assert path.read_bytes() == _reference_tradeoff_csv(points)
 
     def test_empty_points_write_header_only(self, tmp_path):
-        path = write_tradeoff_csv([], tmp_path / "t.csv")
-        assert path.read_bytes() == b"snr_loss_db,gamma,capacity_bits,case\n"
+        for points in ([], (), iter([])):
+            path = write_tradeoff_csv(points, tmp_path / "t.csv")
+            assert path.read_bytes() == b"snr_loss_db,gamma,capacity_bits,case\n"
 
 
 def _reference_beampattern_csv(patterns) -> bytes:
@@ -371,6 +390,14 @@ class TestBeampatternCsvBytes:
         b = write_beampattern_csv([(np.float64(-5.0), pattern)], tmp_path / "b.csv")
         assert b.read_bytes() == a
 
+    @pytest.mark.parametrize(
+        "angles", [np.array([0.1 + 1j, 0.2]), np.zeros((2, 1)), np.array(0.3)], ids=["complex", "2-D", "0-D"]
+    )
+    def test_non_real_or_not_1d_angles_rejected(self, tmp_path, angles):
+        pattern = BeamPattern(angles=angles, power=np.ones(np.size(angles)))
+        with pytest.raises(TypeError):
+            write_beampattern_csv([(-5.0, pattern)], tmp_path / "b.csv")
+
     def test_non_float_power_rejected(self, tmp_path):
         pattern = BeamPattern(angles=np.zeros(2), power=np.array([True, False]))
         with pytest.raises(TypeError):
@@ -380,6 +407,85 @@ class TestBeampatternCsvBytes:
         patterns = beampattern_sweep(reference_scenario, [-5.0])
         with pytest.raises(OSError, match="b.csv"):
             write_beampattern_csv(patterns, tmp_path / "missing" / "b.csv")
+
+
+def _format_field_before(value) -> str:
+    # the per-field formatter both writers used, frozen: a numpy scalar as
+    # the Python value it holds, then int by str and float by '.17g'
+    native = value.item() if isinstance(value, np.generic) else value
+    try:
+        formatter = {int: str, float: lambda v: format(v, ".17g")}[type(native)]
+    except KeyError:
+        raise TypeError(f"unsupported CSV field type: {value!r}") from None
+    return formatter(native)
+
+
+def _write_tradeoff_csv_before(points, destination):
+    # the row-at-a-time tradeoff writer, frozen: the writer must give the
+    # same bytes
+    lines = (
+        f"{_format_field_before(p.snr_loss_db)},{_format_field_before(p.gamma)},"
+        f"{_format_field_before(p.capacity_bits)},{p.case.value}"
+        for p in points
+    )
+    return emit_csv(lines, sweep.TRADEOFF_HEADER, destination)
+
+
+def _tradeoff_csv_pair(points, tmp_path):
+    got = write_tradeoff_csv(points, tmp_path / "now.csv").read_bytes()
+    want = _write_tradeoff_csv_before(points, tmp_path / "before.csv").read_bytes()
+    return got, want
+
+
+class TestOneFormatPerTradeoffFile:
+    def test_field_types_same_bytes_as_row_loop(self, tmp_path):
+        active, below = CaseTag.ACTIVE, CaseTag.BELOW_THRESHOLD
+        points = [
+            TradeoffPoint(-3, 2, 1, active),  # int losses and values
+            TradeoffPoint(-40, 0.5, 7, below),  # int and float columns mixed
+            TradeoffPoint(-2.5, 10**30, 2.0**-1074, active),
+            TradeoffPoint(np.float64(-1.5), np.float64(0.1), np.float64(1 / 3), below),
+            TradeoffPoint(np.int64(-2), np.int64(3), np.int64(2**62), active),
+            TradeoffPoint(np.float32(-0.1), np.float32(1e30), np.float32(1 / 3), below),
+            TradeoffPoint(-math.inf, math.inf, -math.inf, active),
+            TradeoffPoint(math.nan, -0.0, math.nan, below),
+            TradeoffPoint(np.float64(math.nan), np.float32(-math.inf), np.int8(-7), active),
+        ]
+        # and the points of test_every_case_matches_csv_writer
+        values = [-0.0, 0.0, 1e-300, 5e-324, 1.5e308, -12.25, 1 / 3, 2**53 + 1.0]
+        points += [TradeoffPoint(v, -v, v * 3.0, case) for v in values for case in CaseTag]
+        got, want = _tradeoff_csv_pair(points, tmp_path)
+        assert got == want
+        rows = got.decode("ascii").split("\n")
+        assert rows[1:3] == ["-3,2,1,active", "-40,0.5,7,below_threshold"]
+        assert rows[5] == "-2,3,4611686018427387904,active"
+        assert rows[7:9] == ["-inf,inf,-inf,active", "nan,-0,nan,below_threshold"]
+
+    @pytest.mark.parametrize(
+        "value", [True, np.bool_(False), None, "1.0", 1j, np.complex128(1.0)]
+    )
+    def test_non_numbers_rejected_like_row_loop(self, tmp_path, value):
+        good = TradeoffPoint(-2.0, 1.0, 1.0, CaseTag.BELOW_THRESHOLD)
+        for index in range(3):
+            fields = [-1.0, 2.0, 3.0]
+            fields[index] = value
+            points = [good, TradeoffPoint(*fields, CaseTag.ACTIVE)]
+            with pytest.raises(TypeError, match="^unsupported CSV field type: "):
+                _write_tradeoff_csv_before(points, tmp_path / "before.csv")
+            with pytest.raises(TypeError, match="^unsupported CSV field type: ") as now:
+                write_tradeoff_csv(points, tmp_path / "now.csv")
+            assert str(now.value).endswith(repr(value))
+        assert not (tmp_path / "now.csv").exists()
+
+    def test_points_may_be_a_generator(self, reference_scenario, tmp_path):
+        points = tradeoff_sweep(reference_scenario)
+        got = write_tradeoff_csv(iter(points), tmp_path / "now.csv").read_bytes()
+        assert got == _write_tradeoff_csv_before(points, tmp_path / "before.csv").read_bytes()
+
+    def test_one_item_for_all_rows(self, reference_scenario):
+        points = tradeoff_sweep(reference_scenario)
+        (item,) = list(sweep._tradeoff_lines(points))
+        assert item.count("\n") == len(points) - 1
 
 
 def _beampattern_lines_before(patterns):
@@ -392,7 +498,7 @@ def _beampattern_lines_before(patterns):
             degrees = [format(math.degrees(a), ".17g") for a in angles.tolist()]
         if pattern.power.dtype.kind != "f":
             raise TypeError(f"pattern power must be floats, got {pattern.power.dtype}")
-        prefix = sweep._format_field(loss) + ","
+        prefix = _format_field_before(loss) + ","
         yield from (
             f"{prefix}{angle},{power:.17g}"
             for angle, power in zip(degrees, pattern.power.tolist())
@@ -501,6 +607,49 @@ class TestOneFormatPerPattern:
         items = list(sweep._beampattern_lines(patterns))
         assert len(items) == len(patterns)
         assert "\n".join(items).split("\n") == list(_beampattern_lines_before(patterns))
+
+
+class TestDegreeColumnCache:
+    def test_keyed_on_content_not_identity(self, tmp_path):
+        # equal grids in distinct arrays share one column; a grid changed in
+        # place between writes gets its own
+        power = np.array([1.0, 0.5, 0.25])
+        angles = np.array([-0.5, 0.0, 0.5])
+        patterns = [
+            (-2.0, BeamPattern(angles=angles, power=power)),
+            (-1.0, BeamPattern(angles=angles.copy(), power=power)),
+            (-0.5, BeamPattern(angles=angles.astype(np.float32), power=power)),
+        ]
+        got, want = _pattern_csv_pair(patterns, tmp_path)
+        assert got == want
+        angles[1] = 0.25
+        got, want = _pattern_csv_pair(patterns, tmp_path)
+        assert got == want
+        assert b",14.323944878270581,0.5\n" in got
+
+    def test_bounded(self, tmp_path):
+        power = np.ones(3)
+        for k in range(50):
+            pattern = BeamPattern(angles=np.full(3, k / 100.0), power=power)
+            write_beampattern_csv([(-1.0, pattern)], tmp_path / "b.csv")
+        info = sweep._degree_column.cache_info()
+        assert info.currsize <= info.maxsize
+
+
+def test_fresh_import_leaves_caches_empty():
+    # both caches fill on first use, so importing dfrc does no work for them
+    src = str(Path(sweep.__file__).resolve().parents[1])
+    code = (
+        "import dfrc\n"
+        "from dfrc import metrics, sweep\n"
+        "print(metrics._steering_block.cache_info().currsize,"
+        " sweep._degree_column.cache_info().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "0 0\n"
 
 
 class TestTradeoffGammaExpression:
