@@ -129,12 +129,32 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _not_a_number(name: str, value) -> ConfigError:
+    """The error for a config value that is not a number.
+
+    YAML 1.1 reads a float only with a decimal point and a signed exponent,
+    so ``1e-310`` arrives as text; for text that reads as a finite float the
+    message says how to write it.
+    """
+    message = f"'{name}' must be a number, got {value!r}"
+    try:
+        number = float(value) if isinstance(value, str) else math.nan
+    except ValueError:
+        number = math.nan
+    if math.isfinite(number):
+        mantissa, e, exponent = repr(number).partition("e")
+        if "." not in mantissa:
+            mantissa += ".0"
+        message += f"; write it with a decimal point, as {mantissa}{e}{exponent}"
+    return ConfigError(message)
+
+
 def _number(block: dict, section: str, key: str, default=None):
     value = block.get(key, default)
     if value is None:
         raise ConfigError(f"config is missing '{section}.{key}'")
     if not _is_number(value):
-        raise ConfigError(f"'{section}.{key}' must be a number, got {value!r}")
+        raise _not_a_number(f"{section}.{key}", value)
     return value
 
 
@@ -153,7 +173,7 @@ def _number_list(values, name: str) -> list:
         raise ConfigError(f"'{name}' must be a nonempty list")
     for index, value in enumerate(values):
         if not _is_number(value):
-            raise ConfigError(f"'{name}[{index}]' must be a number, got {value!r}")
+            raise _not_a_number(f"{name}[{index}]", value)
     return values
 
 

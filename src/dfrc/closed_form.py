@@ -10,6 +10,13 @@ scalars ||h||^2, ||a_t||^2 and h^H a_t.
 the weights on h and a_t, the beam c itself and the capacity. Everything
 else is a scalar function of c, so no M x M matrix is formed;
 :func:`assemble_covariance` builds c c^H for a caller that wants it.
+
+The scalars that depend only on the scenario (the two case bounds, P M,
+M^2, the clamped ||h||^2 M - |h^H a_t|^2, P ||h||^2 and its capacity, the
+matched weight and the phase of h^H a_t) are formed once per scenario and
+kept on it. The single calls here and the sweeps read them, so the case
+test, the optimum and the beam weights each exist once, and a sweep pays
+per threshold only for what depends on the threshold.
 """
 
 import cmath
@@ -43,6 +50,11 @@ class CaseTag(enum.Enum):
     INFEASIBLE = "infeasible"  # beyond the power budget
 
 
+# the members under module names: on Python 3.11 each CaseTag.<member>
+# lookup costs about 0.1 us, and each tradeoff point made several
+_BELOW, _ACTIVE, _INFEASIBLE = CaseTag.BELOW_THRESHOLD, CaseTag.ACTIVE, CaseTag.INFEASIBLE
+
+
 @dataclass(frozen=True)
 class BeamformerSolution:
     """Optimal rank-one transmit beam and its bookkeeping.
@@ -69,22 +81,82 @@ class BeamformerSolution:
     beta: float | None = None
 
 
+class _Constants:
+    """The closed form's per-scenario scalars.
+
+    Formed on first use and kept on the scenario (see :func:`_constants`),
+    so a sweep forms them once, not once per threshold. Every function
+    below reads them from here, so there is one case test and one
+    received-power formula. Each value keeps the operands, and the order,
+    of the expression it replaces, so every result keeps its bits.
+    """
+
+    __slots__ = (
+        "aa", "gabs", "gamma_max", "free_bound", "max_bound", "aa_sq", "denom",
+        "free_received", "free_capacity", "collinear", "matched", "rotation",
+    )
+
+    def __init__(self, scenario: Scenario):
+        power = scenario.power_budget
+        hh = scenario.channel_norm_sq
+        aa = scenario.steering_norm_sq
+        g = scenario.cross_gain
+        gabs = abs(g)
+        self.aa = aa  # ||a_t||^2 = M
+        self.gabs = gabs  # |h^H a_t|
+        self.gamma_max = scenario.max_target_power  # P M
+        # the case bounds: BELOW_THRESHOLD under the first, INFEASIBLE over the second
+        self.free_bound = scenario.free_target_power * (1.0 - BOUNDARY_RTOL)
+        self.max_bound = self.gamma_max * (1.0 + BOUNDARY_RTOL)
+        self.aa_sq = aa * aa
+        # ||h||^2 M - |h^H a_t|^2, clamped at zero to absorb float dust at
+        # collinearity
+        self.denom = max(hh * aa - gabs * gabs, 0.0)
+        # the optimum below the threshold, P ||h||^2, and its capacity
+        self.free_received = power * hh
+        self.free_capacity = math.log2(1.0 + self.free_received)
+        # with the channel numerically parallel to the steering vector, the
+        # matched beam meets any feasible constraint
+        self.collinear = self.denom <= BOUNDARY_RTOL * hh * aa
+        self.matched = complex(math.sqrt(power / hh))  # the matched beam's weight on h
+        # coeff_a carries the phase of h^H a_t, zero when it is exactly zero
+        self.rotation = cmath.exp(1j * (cmath.phase(g) if g != 0 else 0.0))
+
+
+def _constants(scenario: Scenario) -> _Constants:
+    """The scenario's closed-form constants, formed on the first call.
+
+    They are kept in the scenario's one cache slot: a scenario is immutable,
+    so they never go stale.
+    """
+    k = scenario._closed_form
+    if k is None:
+        k = _Constants(scenario)
+        object.__setattr__(scenario, "_closed_form", k)
+    return k
+
+
+def _classify(k: _Constants, gamma) -> CaseTag:
+    gamma = float(gamma)
+    if not gamma >= 0.0:
+        raise ValueError(f"gamma must be nonnegative, got {gamma!r}")
+    if gamma > k.max_bound:
+        return _INFEASIBLE
+    if gamma < k.free_bound:
+        return _BELOW
+    return _ACTIVE
+
+
 def classify_case(scenario: Scenario, gamma: float) -> CaseTag:
     """Which regime a target-power threshold ``gamma`` falls in.
 
     Boundary points (within 1e-12 relative) are assigned to ACTIVE, where
-    the constrained formulas reduce continuously to the neighbours.
+    the constrained formulas reduce continuously to the neighbours. A
+    ``gamma`` up to 1e-12 relative above the feasible maximum P M is ACTIVE
+    too; P M is formed from the float M, not from the float steering
+    vector's exact ||a_t||^2, which may differ from it by a few ulps.
     """
-    gamma = float(gamma)
-    if not gamma >= 0.0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma!r}")
-    g_free = scenario.free_target_power
-    g_max = scenario.max_target_power
-    if gamma > g_max * (1.0 + BOUNDARY_RTOL):
-        return CaseTag.INFEASIBLE
-    if gamma < g_free * (1.0 - BOUNDARY_RTOL):
-        return CaseTag.BELOW_THRESHOLD
-    return CaseTag.ACTIVE
+    return _classify(_constants(scenario), gamma)
 
 
 def assemble_covariance(vector_c: np.ndarray) -> np.ndarray:
@@ -97,28 +169,45 @@ def assemble_covariance(vector_c: np.ndarray) -> np.ndarray:
     return r
 
 
-def _case_and_received_power(scenario: Scenario, gamma: float):
-    """Regime at ``gamma``, the optimal h^H R h there, and the discriminant.
+def _optimum(k: _Constants, gamma):
+    """(case, optimal h^H R h, capacity in bits, discriminant) at ``gamma``.
 
     The discriminant is None below the threshold; otherwise it is the
     triple (slack, denom, beta): slack = P M - gamma, denom = ||h||^2 M -
     |h^H a_t|^2 and beta = slack * denom, each clamped at zero to absorb
-    float dust at the upper boundary and at collinearity.
+    float dust at the upper boundary and at collinearity. Raises
+    InfeasibleRadarRequirement above the feasible maximum.
     """
-    tag = classify_case(scenario, gamma)
-    if tag is CaseTag.INFEASIBLE:
-        raise InfeasibleRadarRequirement(gamma, scenario.max_target_power)
-    hh = scenario.channel_norm_sq
-    power = scenario.power_budget
-    if tag is CaseTag.BELOW_THRESHOLD:
-        return tag, power * hh, None
-    aa = scenario.steering_norm_sq
-    gabs = abs(scenario.cross_gain)
-    slack = max(power * aa - gamma, 0.0)
-    denom = max(hh * aa - gabs * gabs, 0.0)
-    beta = slack * denom
-    root = math.sqrt(gamma) * gabs + math.sqrt(beta)
-    return tag, root * root / (aa * aa), (slack, denom, beta)
+    tag = _classify(k, gamma)
+    if tag is _INFEASIBLE:
+        raise InfeasibleRadarRequirement(gamma, k.gamma_max)
+    if tag is _BELOW:
+        return tag, k.free_received, k.free_capacity, None
+    slack = k.gamma_max - gamma
+    if slack < 0.0:  # max(slack, 0.0), without a builtin call per point
+        slack = 0.0
+    beta = slack * k.denom
+    root = math.sqrt(gamma) * k.gabs + math.sqrt(beta)
+    received = root * root / k.aa_sq
+    return tag, received, math.log2(1.0 + received), (slack, k.denom, beta)
+
+
+def _beam(k: _Constants, gamma):
+    """(case, capacity, coeff_a, coeff_b, eta, beta) of the optimal beam at ``gamma``.
+
+    Below the threshold, or with the channel numerically parallel to the
+    steering vector, the matched beam already meets the constraint; eta and
+    beta are None there.
+    """
+    tag, _, capacity, discriminant = _optimum(k, gamma)
+    if discriminant is None or k.collinear:
+        return tag, capacity, k.matched, 0j, None, None
+    slack, denom, beta = discriminant
+    eta = math.sqrt(slack / denom)
+    # nonnegative by construction; the clamp absorbs dust at the lower case
+    # boundary where |b| -> 0
+    b_mag = max(math.sqrt(gamma) / k.aa - k.gabs * eta / k.aa, 0.0)
+    return tag, capacity, eta * k.rotation, complex(b_mag), eta, beta
 
 
 def optimal_received_power(scenario: Scenario, gamma: float) -> float:
@@ -126,12 +215,12 @@ def optimal_received_power(scenario: Scenario, gamma: float) -> float:
 
     Raises InfeasibleRadarRequirement when gamma exceeds the feasible maximum.
     """
-    return _case_and_received_power(scenario, gamma)[1]
+    return _optimum(_constants(scenario), gamma)[1]
 
 
 def capacity_closed_form(scenario: Scenario, gamma: float) -> float:
     """Maximum spectral efficiency in bits at target-power threshold ``gamma``."""
-    return math.log2(1.0 + optimal_received_power(scenario, gamma))
+    return _optimum(_constants(scenario), gamma)[2]
 
 
 def solve_closed_form(scenario: Scenario, gamma: float) -> BeamformerSolution:
@@ -143,27 +232,7 @@ def solve_closed_form(scenario: Scenario, gamma: float) -> BeamformerSolution:
     that inner product is exactly zero), making the output deterministic.
     Only the vector c is formed, never the M x M covariance c c^H.
     """
-    tag, received, discriminant = _case_and_received_power(scenario, gamma)
-    hh = scenario.channel_norm_sq
-    aa = scenario.steering_norm_sq
-    eta = beta = None
-
-    # below the threshold, or with the channel numerically parallel to the
-    # steering vector, the matched beam already meets the constraint
-    if discriminant is None or discriminant[1] <= BOUNDARY_RTOL * hh * aa:
-        a = complex(math.sqrt(scenario.power_budget / hh))
-        b = complex(0.0)
-    else:
-        slack, denom, beta = discriminant
-        eta = math.sqrt(slack / denom)
-        g = scenario.cross_gain
-        # nonnegative by construction; the clamp absorbs dust at the lower
-        # case boundary where |b| -> 0
-        b_mag = max(math.sqrt(gamma) / aa - abs(g) * eta / aa, 0.0)
-        phase = cmath.phase(g) if g != 0 else 0.0
-        a = eta * cmath.exp(1j * phase)
-        b = complex(b_mag)
-
+    tag, capacity, a, b, eta, beta = _beam(_constants(scenario), gamma)
     c = a * scenario.channel + b * scenario.target_steering
     c.setflags(write=False)
     return BeamformerSolution(
@@ -171,7 +240,7 @@ def solve_closed_form(scenario: Scenario, gamma: float) -> BeamformerSolution:
         coeff_a=a,
         coeff_b=b,
         vector_c=c,
-        capacity_bits=math.log2(1.0 + received),
+        capacity_bits=capacity,
         eta=eta,
         beta=beta,
     )

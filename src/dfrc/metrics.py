@@ -16,7 +16,9 @@ projected. When all of a grid's rows fit in one projection block (fewer
 than twice a block's rows, so at most 512 KiB up to 8,192 antennas: M = 8
 and M = 64 on the default grid), that block is built once per (array,
 grid) and reused, read-only, by every later pattern or sweep on the same
-pair. Larger grids stay streamed a block at a time and are not kept: at
+pair, and so is its conjugate once a mirrored angle has read it: a call
+on cached rows allocates only its results. Larger grids stay streamed a
+block at a time, each conjugated in place, and are not kept: at
 M = 512 the default grid's rows would add about 3 MB to the peak memory of
 every process that draws one pattern.
 """
@@ -95,6 +97,18 @@ def _steering_block(geometry: ArrayGeometry, magnitudes: bytes) -> np.ndarray:
     return block
 
 
+@functools.lru_cache(maxsize=2)
+def _conjugated_block(geometry: ArrayGeometry, magnitudes: bytes) -> np.ndarray:
+    """conj of ``_steering_block``'s rows, read-only: the rows of the mirrored angles.
+
+    Kept next to the plain rows, for the same two arrays, so that a grid
+    read on both sides conjugates its rows once, not on every call.
+    """
+    block = np.conjugate(_steering_block(geometry, magnitudes))
+    block.setflags(write=False)
+    return block
+
+
 def _project(steering: np.ndarray, x: np.ndarray) -> np.ndarray:
     # a(phi)^H x for every row a(phi)^T of ``steering``; einsum instead of a
     # BLAS matvec, whose thread wake-up alone can cost milliseconds
@@ -121,9 +135,9 @@ def _steering_projections(geometry: ArrayGeometry, angles: np.ndarray, *vectors)
     The rows are built one block at a time, so the whole steering matrix is
     never held and each block stays in cache. Every row is summed as in a
     single unblocked projection, so the results are the same bits. A grid of
-    one block takes it from ``_steering_block`` and conjugates it into a
-    scratch array; a grid of several builds each block and conjugates it in
-    place.
+    one block takes its rows from ``_steering_block`` and their conjugates
+    from ``_conjugated_block``; a grid of several builds each block and
+    conjugates it in place.
     """
     magnitudes, index = np.unique(np.abs(angles), return_inverse=True)
     # at least two rows per block unless there is only one angle: beyond
@@ -139,8 +153,9 @@ def _steering_projections(geometry: ArrayGeometry, angles: np.ndarray, *vectors)
     wanted[1, index[mirrored]] = True
     sides = [np.zeros((2, magnitudes.size), dtype=np.complex128) for _ in vectors]
     count = magnitudes.size // rows
-    if count <= 1:
-        blocks = [_steering_block(geometry, magnitudes.tobytes())]
+    key = magnitudes.tobytes() if count <= 1 else None
+    if key is not None:
+        blocks = [_steering_block(geometry, key)]
     else:
         blocks = (_steering_matrix(geometry, b) for b in np.array_split(magnitudes, count))
     start = 0
@@ -150,7 +165,10 @@ def _steering_projections(geometry: ArrayGeometry, angles: np.ndarray, *vectors)
             if not wanted[side, start:stop].any():
                 continue
             if side:
-                block = np.conjugate(block, out=block if block.flags.writeable else None)
+                if key is None:
+                    block = np.conjugate(block, out=block)
+                else:
+                    block = _conjugated_block(geometry, key)
             for out, x in zip(sides, vectors):
                 out[side, start:stop] = _project(block, x)
         start = stop

@@ -125,6 +125,8 @@ class Scenario:
     channel_norm_sq: float = field(init=False, repr=False, compare=False)
     steering_norm_sq: float = field(init=False, repr=False, compare=False)
     cross_gain: complex = field(init=False, repr=False, compare=False)
+    # the closed form's per-scenario constants, formed on first use there
+    _closed_form: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.geometry, ArrayGeometry):

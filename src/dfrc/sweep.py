@@ -5,16 +5,21 @@ each to a target-power threshold, solves the closed form, and records the
 capacity and operating regime. Beam-pattern sweeps tabulate the transmit
 power versus direction for a handful of loss values; the optimum is rank
 one, so each pattern comes from two steering projections, made a block of
-angles at a time. A tradeoff sweep resolves each loss to its target power
-with the same expression as ``resolve_radar_spec``, and so the same bits.
+angles at a time. Both sweeps resolve each loss to its target power with
+the same expression as ``resolve_radar_spec``, and so the same bits, and
+both read the closed form's per-scenario constants, formed once per
+scenario: per point there is only the case test and the optimum at that
+threshold, from the same functions the single calls use.
 CSV output is deterministic: fixed header, 17-significant-digit floats, '.'
 decimal separator, LF line endings. Both writers format their rows to text
 themselves and hand it to ``emit_csv``, the one function that writes a CSV
 file: the tradeoff writer all its rows in one ``%`` operation, the
-beam-pattern writer all the rows of one pattern in one ``%`` operation,
-with the angle column of a grid formatted once and reused. Every number
-field takes its ``%`` conversion from one table of field types. No field is
-ever quoted: every field is a number, except the tradeoff file's fixed
+beam-pattern writer all the rows of one pattern in one ``%`` operation
+that converts only the powers. The rest of each of its rows, the loss, the
+angle and the commas, is a template made once per (loss, grid) from the
+grid's angle column, itself formatted once, and reused. Every number field
+takes its ``%`` conversion from one table of field types. No field is ever
+quoted: every field is a number, except the tradeoff file's fixed
 ``CaseTag`` value, which holds no comma, quote or line break.
 """
 
@@ -27,9 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .closed_form import CaseTag, _case_and_received_power, solve_closed_form
+from .closed_form import CaseTag, _beam, _constants, _optimum
 from .metrics import BeamPattern, _pattern_angles, _steering_projections
-from .model import RadarSnrSpec, Scenario, _gamma_at_loss, resolve_radar_spec
+from .model import Scenario, _gamma_at_loss
 
 __all__ = [
     "DEFAULT_BEAMPATTERN_LOSSES_DB",
@@ -79,22 +84,16 @@ def _check_loss_grid(losses) -> np.ndarray:
 def tradeoff_sweep(scenario: Scenario, losses_db=None) -> list[TradeoffPoint]:
     """Capacity and regime at each allowed SNR loss (ascending, <= 0 dB)."""
     grid = default_loss_grid_db() if losses_db is None else _check_loss_grid(losses_db)
-    gamma_cap = scenario.max_target_power
+    k = _constants(scenario)
+    gamma_cap = k.gamma_max
     points = []
     # scalar math per point: a vectorized version rounds differently in the
     # last bit (numpy's power and log2 are not libm's), changing CSV bytes;
     # the grid is checked, so each gamma is resolve_radar_spec's
     for loss in grid.tolist():
         gamma = _gamma_at_loss(gamma_cap, loss)
-        case, received, _ = _case_and_received_power(scenario, gamma)
-        points.append(
-            TradeoffPoint(
-                snr_loss_db=loss,
-                gamma=gamma,
-                capacity_bits=math.log2(1.0 + received),
-                case=case,
-            )
-        )
+        case, _, capacity, _ = _optimum(k, gamma)
+        points.append(TradeoffPoint(loss, gamma, capacity, case))
     return points
 
 
@@ -115,11 +114,12 @@ def beampattern_sweep(scenario: Scenario, losses_db=None, angle_grid=None):
     on_channel, on_target = _steering_projections(
         scenario.geometry, angles, scenario.channel, scenario.target_steering
     )
+    k = _constants(scenario)
     out = []
     for loss in grid.tolist():
-        spec = resolve_radar_spec(RadarSnrSpec(snr_loss_db=loss), scenario)
-        solution = solve_closed_form(scenario, spec.gamma)
-        field = solution.coeff_a * on_channel + solution.coeff_b * on_target
+        # the grid is checked, so this is resolve_radar_spec's gamma
+        _, _, a, b, _, _ = _beam(k, _gamma_at_loss(k.gamma_max, loss))
+        field = a * on_channel + b * on_target
         power = field.real * field.real + field.imag * field.imag
         power.setflags(write=False)
         out.append((loss, BeamPattern(angles=angles, power=power)))
@@ -200,7 +200,9 @@ def _tradeoff_lines(points):
         template[column::4] = formats[column::3]
         fields[column::4] = numbers[column::3]
     template[3::4] = ["%s\n"] * len(points)
-    fields[3::4] = [p.case.value for p in points]
+    # _value_ is what the value property returns, without its descriptor
+    # call per row
+    fields[3::4] = [p.case._value_ for p in points]
     yield ("".join(template) % tuple(fields))[:-1]
 
 
@@ -215,6 +217,19 @@ def _degree_column(angles: bytes) -> tuple:
     return tuple(format(math.degrees(a), ".17g") for a in np.frombuffer(angles).tolist())
 
 
+@functools.lru_cache(maxsize=4)
+def _pattern_template(prefix: str, angles: bytes) -> str:
+    """The rows of one pattern with a ``%.17g`` in place of each power.
+
+    ``prefix`` is the formatted loss field with its comma, and ``angles``
+    the float64 angle bytes. Four entries, one per default loss, so a
+    design that writes the default patterns of one grid again and again
+    formats only the powers. Neither the prefix nor a degree string is a
+    ``%`` conversion: both are formatted numbers, which hold no '%'.
+    """
+    return prefix + (",%.17g\n" + prefix).join(_degree_column(angles)) + ",%.17g"
+
+
 def _beampattern_lines(patterns):
     """One item per non-empty pattern: its rows, LF-joined, with no final LF."""
     for loss, pattern in patterns:
@@ -223,12 +238,9 @@ def _beampattern_lines(patterns):
                 f"pattern angles must be a 1-D real array, got {pattern.angles.dtype}"
                 f" of shape {pattern.angles.shape}"
             )
-        # keyed on the float64 values, which are the ones math.degrees
-        # would read from the Python numbers the array holds
-        degrees = _degree_column(pattern.angles.astype(np.float64, copy=False).tobytes())
         if pattern.power.dtype.kind != "f":
             raise TypeError(f"pattern power must be floats, got {pattern.power.dtype}")
-        n = len(degrees)
+        n = len(pattern.angles)
         if len(pattern.power) != n:
             raise ValueError(
                 f"pattern has {n} angles but {len(pattern.power)} power values"
@@ -236,13 +248,11 @@ def _beampattern_lines(patterns):
         (loss_format,), (loss,) = _number_fields([loss])
         if not n:
             continue
-        # one % operation per pattern; the prefix is a formatted number, so
-        # it holds no '%'
-        prefix = loss_format % loss
-        fields = [None] * (2 * n)
-        fields[0::2] = degrees
-        fields[1::2] = pattern.power.tolist()
-        yield ((prefix + "%s,%.17g\n") * n % tuple(fields))[:-1]
+        # keyed on the float64 values, which are the ones math.degrees
+        # would read from the Python numbers the array holds; one %
+        # operation per pattern, which converts only the powers
+        angles = pattern.angles.astype(np.float64, copy=False).tobytes()
+        yield _pattern_template(loss_format % loss, angles) % tuple(pattern.power.tolist())
 
 
 def write_beampattern_csv(patterns, destination) -> Path:

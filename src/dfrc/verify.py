@@ -30,7 +30,9 @@ DEFAULT_SEED = 0
 
 def _relative_gap(oracle_obj: float, reference_obj: float, scenario: Scenario) -> float:
     floor = scenario.power_budget * scenario.channel_norm_sq * 1e-9
-    return abs(oracle_obj - reference_obj) / max(reference_obj, floor)
+    # P ||h||^2 can underflow to 0, and the reference with it: the smallest
+    # subnormal keeps the gap finite
+    return abs(oracle_obj - reference_obj) / max(reference_obj, floor, math.ulp(0.0))
 
 
 def _perturbed(solution, scenario: Scenario, magnitude: float, seed: int):

@@ -462,6 +462,47 @@ class TestSweepCommand:
         assert not (tmp_path / "out" / "tradeoff.csv").exists()
 
 
+    @pytest.mark.parametrize(
+        "text, fix",
+        [("1e-310", "1.0e-310"), ("2E+3", "2000.0"), ("-2e1", "-20.0"), ("1.5e16", "1.5e+16")],
+    )
+    def test_float_without_a_dot_names_the_fix(self, tmp_path, capsys, text, fix):
+        # YAML 1.1 reads 1e-310 as text; the message says how to write it
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace("power: 1.0", f"power: {text}"))
+        assert yaml.safe_load(path.read_text())["scenario"]["power"] == text
+        assert main(["solve", "--config", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: 'scenario.power' must be a number, got '{text}';"
+            f" write it with a decimal point, as {fix}\n"
+        )
+        path.write_text(path.read_text().replace(f"power: {text}", f"power: {fix}"))
+        assert isinstance(yaml.safe_load(path.read_text())["scenario"]["power"], float)
+
+    def test_list_entry_without_a_dot_names_the_fix(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"sweep": {"beampattern_losses_db": [-20.0, -5.0]}})
+        path.write_text(
+            path.read_text().replace("- -20.0", "- -2e1").replace("- -5.0", "- -5e0")
+        )
+        assert yaml.safe_load(path.read_text())["sweep"]["beampattern_losses_db"] == [
+            "-2e1", "-5e0"
+        ]
+        rc = main(["beampattern", "--config", str(path), "--out", str(tmp_path / "bp")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: 'sweep.beampattern_losses_db[0]' must be a number, got '-2e1';"
+            " write it with a decimal point, as -20.0\n"
+        )
+
+    @pytest.mark.parametrize("text", ["north", "nan", "inf"])
+    def test_text_that_is_no_finite_float_gets_no_fix(self, tmp_path, capsys, text):
+        path = write_config(tmp_path, {"scenario": {"power": text}})
+        assert main(["solve", "--config", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: 'scenario.power' must be a number, got '{text}'\n"
+        )
+
+
 class TestBeampatternCommand:
     def test_default_losses_csv(self, tmp_path):
         path = write_config(tmp_path)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from dfrc import (
     solve_closed_form,
     steering_vector,
 )
+from dfrc import closed_form, sweep
 
 
 def brute_force_two_beam_max(scenario, gamma, n=400):
@@ -384,3 +386,42 @@ class TestDiscriminantFormedOnce:
         assert seen == {
             (CaseTag.BELOW_THRESHOLD, True), (CaseTag.ACTIVE, False), (CaseTag.ACTIVE, True)
         }
+
+
+class TestConstantsFormedOnce:
+    def test_kept_on_the_scenario(self, reference_scenario, monkeypatch):
+        # a sweep, the patterns and every single call form them once per
+        # scenario; equal scenarios keep their own
+        formed = []
+
+        class Counting(closed_form._Constants):
+            __slots__ = ()
+
+            def __init__(self, scenario):
+                formed.append(scenario)
+                super().__init__(scenario)
+
+        monkeypatch.setattr(closed_form, "_Constants", Counting)
+        sc = reference_scenario
+        sweep.tradeoff_sweep(sc)
+        sweep.beampattern_sweep(sc)
+        for gamma in (0.0, 5.0, 10.0):
+            classify_case(sc, gamma)
+            optimal_received_power(sc, gamma)
+            capacity_closed_form(sc, gamma)
+            solve_closed_form(sc, gamma)
+        assert formed == [sc]
+        twin = Scenario(sc.geometry, sc.target_angle, sc.channel, sc.power_budget)
+        assert solve_closed_form(twin, 5.0).capacity_bits == solve_closed_form(sc, 5.0).capacity_bits
+        assert len(formed) == 2 and formed[1] is twin
+        assert closed_form._constants(twin) is not closed_form._constants(sc)
+
+    def test_not_part_of_the_scenario_s_value(self, reference_scenario):
+        sc = reference_scenario
+        before = repr(sc)
+        closed_form._constants(sc)
+        assert repr(sc) == before
+        assert "_closed_form" not in {f.name for f in dataclasses.fields(sc) if f.init}
+        moved = dataclasses.replace(sc, power_budget=2.0)
+        assert moved._closed_form is None
+        assert optimal_received_power(moved, 0.0) == 2.0 * sc.channel_norm_sq

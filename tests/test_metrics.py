@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +275,7 @@ class TestSteeringBlockCache:
             for label, angles in _cache_grids()
         ]
         metrics._steering_block.cache_clear()
+        metrics._conjugated_block.cache_clear()
         for a, b in zip(cases, cases[1:] + cases[:1]):
             for m, spacing, label, angles in (a, b, a):
                 geometry = ArrayGeometry(m, spacing)
@@ -282,8 +284,9 @@ class TestSteeringBlockCache:
                 want = _steering_projections_before(geometry, angles, *vectors)
                 for g, w in zip(got, want):
                     assert g.tobytes() == w.tobytes(), (m, spacing, label)
-        info = metrics._steering_block.cache_info()
-        assert info.hits > 0 and info.misses > 0
+        for cache in (metrics._steering_block, metrics._conjugated_block):
+            info = cache.cache_info()
+            assert info.hits > 0 and info.misses > 0
 
     def test_cached_rows_are_read_only_and_kept(self, reference_scenario):
         sc = reference_scenario
@@ -301,17 +304,54 @@ class TestSteeringBlockCache:
         assert block.tobytes() == before.tobytes()
         assert np.array_equal(block, _steering_matrix(sc.geometry, magnitudes))
 
+    def test_conjugated_rows_are_read_only_and_kept(self, reference_scenario):
+        sc = reference_scenario
+        angles = default_angle_grid()
+        magnitudes = np.unique(np.abs(angles))
+        key = (sc.geometry, magnitudes.tobytes())
+        metrics._conjugated_block.cache_clear()
+        # a one-sided grid reads no mirrored row, so it conjugates nothing
+        _steering_projections(sc.geometry, magnitudes, sc.channel)
+        assert metrics._conjugated_block.cache_info().currsize == 0
+        _steering_projections(sc.geometry, angles, sc.channel, sc.target_steering)
+        block = metrics._conjugated_block(*key)
+        assert metrics._conjugated_block.cache_info().misses == 1
+        assert not block.flags.writeable
+        assert block.tobytes() == np.conjugate(_steering_matrix(sc.geometry, magnitudes)).tobytes()
+        _steering_projections(sc.geometry, angles, sc.channel, sc.target_steering)
+        assert metrics._conjugated_block(*key) is block
+
+    def test_call_on_cached_rows_allocates_only_its_results(self):
+        # the mirrored side reads the cached conjugates: no scratch copy of
+        # the 361 x 64 rows (370 KB) is made per call
+        geometry = ArrayGeometry(64, 0.5)
+        angles = default_angle_grid()
+        rng = np.random.default_rng(1205)
+        vectors = [_random_vector(rng, 64), _random_vector(rng, 64)]
+        _steering_projections(geometry, angles, *vectors)
+        rows = metrics._steering_block(geometry, np.unique(np.abs(angles)).tobytes())
+        tracemalloc.start()
+        try:
+            _steering_projections(geometry, angles, *vectors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes / 2
+
     def test_multi_block_grid_is_not_cached(self):
         metrics._steering_block.cache_clear()
+        metrics._conjugated_block.cache_clear()
         geometry = ArrayGeometry(512, 0.5)
         _steering_projections(geometry, default_angle_grid(), np.ones(512, complex))
         assert metrics._steering_block.cache_info().currsize == 0
+        assert metrics._conjugated_block.cache_info().currsize == 0
 
     def test_bounded(self):
         for m in range(1, 51):
             _steering_projections(ArrayGeometry(m, 0.5), default_angle_grid(), np.ones(m, complex))
-        info = metrics._steering_block.cache_info()
-        assert info.currsize <= info.maxsize
+        for cache in (metrics._steering_block, metrics._conjugated_block):
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize
 
 
 def _quadratic_form_pattern(covariance, geometry):

@@ -15,6 +15,7 @@ from dfrc import (
     ArrayGeometry,
     BeamPattern,
     CaseTag,
+    InfeasibleRadarRequirement,
     RadarSnrSpec,
     Scenario,
     TradeoffPoint,
@@ -22,14 +23,16 @@ from dfrc import (
     beam_pattern,
     beampattern_sweep,
     capacity_closed_form,
+    classify_case,
+    optimal_received_power,
     resolve_radar_spec,
     solve_closed_form,
     tradeoff_sweep,
     write_beampattern_csv,
     write_tradeoff_csv,
 )
-from dfrc import sweep
-from dfrc.closed_form import _case_and_received_power
+from dfrc import metrics, sweep
+from dfrc.closed_form import _constants, _optimum
 from dfrc.sweep import (
     BEAMPATTERN_HEADER,
     DEFAULT_BEAMPATTERN_LOSSES_DB,
@@ -512,7 +515,7 @@ def _tradeoff_sweep_before(scenario, losses_db=None):
     points = []
     for loss in grid.tolist():
         gamma = resolve_radar_spec(RadarSnrSpec(snr_loss_db=loss), scenario).gamma
-        case, received, _ = _case_and_received_power(scenario, gamma)
+        case, received, _, _ = _optimum(_constants(scenario), gamma)
         points.append(TradeoffPoint(loss, gamma, math.log2(1.0 + received), case))
     return points
 
@@ -636,20 +639,165 @@ class TestDegreeColumnCache:
         assert info.currsize <= info.maxsize
 
 
+class TestPatternTemplateCache:
+    def test_cold_and_warm_writes_keep_their_bytes(self, tmp_path):
+        # the same patterns written with every cache cleared, then again
+        # with the templates in place, give the row loop's bytes
+        for m, kind in RANK_ONE_CASES:
+            patterns = beampattern_sweep(_random_scenario(m, kind))
+            sweep._pattern_template.cache_clear()
+            sweep._degree_column.cache_clear()
+            for _ in range(2):
+                got, want = _pattern_csv_pair(patterns, tmp_path)
+                assert got == want, (m, kind)
+            info = sweep._pattern_template.cache_info()
+            assert (info.misses, info.hits) == (4, 4)
+
+    def test_keyed_on_content_not_identity(self, tmp_path):
+        # equal grids in distinct arrays and equal losses of other types
+        # share one template; a grid changed in place gets its own
+        power = np.array([1.0, 0.5, 0.25])
+        angles = np.array([-0.3, 0.0, 0.3])
+        patterns = [
+            (-2.0, BeamPattern(angles=angles, power=power)),
+            (-2.0, BeamPattern(angles=angles.copy(), power=power[::-1])),
+            (np.float64(-2.0), BeamPattern(angles=angles.astype(np.float32), power=power)),
+            (-1, BeamPattern(angles=angles, power=power)),
+        ]
+        sweep._pattern_template.cache_clear()
+        got, want = _pattern_csv_pair(patterns, tmp_path)
+        assert got == want
+        # float32 angles are other float64 values, and -1 is written as an int
+        assert sweep._pattern_template.cache_info().misses == 3
+        angles[1] = 0.25
+        got, want = _pattern_csv_pair(patterns, tmp_path)
+        assert got == want
+        assert b"-2,14.323944878270581,0.5\n" in got
+        assert b"-1,14.323944878270581,0.5\n" in got
+
+    def test_bounded(self, tmp_path):
+        power = np.ones(3)
+        for k in range(50):
+            pattern = BeamPattern(angles=np.full(3, k / 100.0), power=power)
+            write_beampattern_csv([(-k / 10.0, pattern)], tmp_path / "b.csv")
+        info = sweep._pattern_template.cache_info()
+        assert info.currsize <= info.maxsize
+
+
 def test_fresh_import_leaves_caches_empty():
-    # both caches fill on first use, so importing dfrc does no work for them
+    # every cache fills on first use, so importing dfrc does no work for them
     src = str(Path(sweep.__file__).resolve().parents[1])
     code = (
         "import dfrc\n"
         "from dfrc import metrics, sweep\n"
         "print(metrics._steering_block.cache_info().currsize,"
-        " sweep._degree_column.cache_info().currsize)\n"
+        " metrics._conjugated_block.cache_info().currsize,"
+        " sweep._degree_column.cache_info().currsize,"
+        " sweep._pattern_template.cache_info().currsize)\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout == "0 0\n"
+    assert out.stdout == "0 0 0 0\n"
+
+
+def _boundary_scenarios():
+    """(label, scenario) pairs: generic, collinear, orthogonal, and scaled by 2^k."""
+    geometry = ArrayGeometry(10, 0.5)
+    target = math.radians(-30.0)
+    rng = np.random.default_rng(2929)
+    rayleigh = (rng.standard_normal(10) + 1j * rng.standard_normal(10)) / math.sqrt(2.0)
+    cases = [
+        ("reference", Scenario.with_los_user(geometry, target, 0.0, 1.0)),
+        ("collinear", Scenario.with_los_user(geometry, target, target, 1.0)),
+        ("orthogonal", Scenario.with_los_user(geometry, target, math.radians(30.0), 1.0)),
+    ]
+    for k in (-60, 0, 60):
+        cases.append((f"rayleigh 2^{k}", Scenario(geometry, target, 2.0**k * rayleigh, 2.5)))
+        channel = 2.0**k * _random_scenario(64, "rayleigh").channel
+        cases.append((f"M=64 2^{k}", Scenario(ArrayGeometry(64, 0.5), 0.3, channel, 0.7)))
+    return cases
+
+
+BOUNDARY_CASES = _boundary_scenarios()
+BOUNDARY_IDS = [label for label, _ in BOUNDARY_CASES]
+
+
+def _boundary_gammas(sc):
+    """Thresholds on and next to both case bounds, and their float neighbours."""
+    free, top = sc.free_target_power, sc.max_target_power
+    gammas = [0.0, 0.5 * (free + top), top]
+    for edge in (free * (1.0 - 1e-12), free, free * (1.0 + 1e-12), top * (1.0 - 1e-12)):
+        gammas += [np.nextafter(edge, -math.inf), edge, np.nextafter(edge, math.inf)]
+    return [float(g) for g in gammas if g <= top * (1.0 + 1e-12)]
+
+
+class TestSharedConstants:
+    """The sweeps read the closed form's constants; every point keeps its bits."""
+
+    @pytest.mark.parametrize("label, sc", BOUNDARY_CASES, ids=BOUNDARY_IDS)
+    def test_sweep_points_equal_the_single_calls(self, label, sc):
+        cap = sc.max_target_power
+        # losses whose thresholds land within a few ulps of each boundary
+        # threshold, on both sides of it
+        losses = set()
+        for gamma in _boundary_gammas(sc):
+            if gamma > 0.0:
+                loss = min(10.0 * math.log10(gamma / cap), 0.0)
+                for step in range(-3, 4):
+                    losses.add(min(float(loss + step * np.spacing(loss)), 0.0))
+        losses.add(-math.inf)
+        points = tradeoff_sweep(sc, sorted(losses))
+        for p in points:
+            sol = solve_closed_form(sc, p.gamma)
+            assert p.case is classify_case(sc, p.gamma) is sol.case, (label, p)
+            assert repr(p.capacity_bits) == repr(sol.capacity_bits), (label, p)
+            received = optimal_received_power(sc, p.gamma)
+            assert repr(p.capacity_bits) == repr(math.log2(1.0 + received)), (label, p)
+        if label not in ("collinear", "orthogonal"):
+            # the thresholds straddle the lower case bound within a few ulps
+            below = max(p.gamma for p in points if p.case is CaseTag.BELOW_THRESHOLD)
+            active = min(p.gamma for p in points if p.case is CaseTag.ACTIVE)
+            assert below < active <= below * (1.0 + 1e-14), label
+
+    @pytest.mark.parametrize("label, sc", BOUNDARY_CASES, ids=BOUNDARY_IDS)
+    def test_single_calls_agree_on_the_boundary_corpus(self, label, sc):
+        for gamma in _boundary_gammas(sc):
+            sol = solve_closed_form(sc, gamma)
+            received = optimal_received_power(sc, gamma)
+            assert classify_case(sc, gamma) is sol.case
+            assert repr(sol.capacity_bits) == repr(math.log2(1.0 + received))
+            assert repr(capacity_closed_form(sc, gamma)) == repr(sol.capacity_bits)
+
+    @pytest.mark.parametrize("label, sc", BOUNDARY_CASES, ids=BOUNDARY_IDS)
+    def test_top_bound_accepts_its_own_value_and_no_more(self, label, sc):
+        top = sc.max_target_power * (1.0 + 1e-12)
+        assert classify_case(sc, top) is CaseTag.ACTIVE
+        assert solve_closed_form(sc, top).case is CaseTag.ACTIVE
+        above = float(np.nextafter(top, math.inf))
+        assert classify_case(sc, above) is CaseTag.INFEASIBLE
+        message = str(InfeasibleRadarRequirement(above, sc.max_target_power))
+        for solve in (solve_closed_form, optimal_received_power, capacity_closed_form):
+            with pytest.raises(InfeasibleRadarRequirement) as info:
+                solve(sc, above)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("m, kind", RANK_ONE_CASES)
+    def test_pattern_coefficients_are_the_solver_s(self, m, kind):
+        # each pattern is the solver's own beam at that loss, bit for bit
+        sc = _random_scenario(m, kind)
+        angles = metrics.default_angle_grid()
+        on_channel, on_target = metrics._steering_projections(
+            sc.geometry, angles, sc.channel, sc.target_steering
+        )
+        for loss, pat in beampattern_sweep(sc, [-math.inf, -30.0, -10.0, -3.0, -0.0]):
+            sol = solve_closed_form(
+                sc, resolve_radar_spec(RadarSnrSpec(snr_loss_db=loss), sc).gamma
+            )
+            field = sol.coeff_a * on_channel + sol.coeff_b * on_target
+            power = field.real * field.real + field.imag * field.imag
+            assert pat.power.tobytes() == power.tobytes(), (m, kind, loss)
 
 
 class TestTradeoffGammaExpression:

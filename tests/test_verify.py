@@ -312,3 +312,16 @@ def test_report_is_strict_json_at_every_threshold(reference_scenario, kind):
             assert report["falsifier"]["best_objective"] is None
         else:
             assert math.isfinite(report["dual"]["lambda"])
+
+
+def test_flushed_objective_scale_gives_a_strict_json_report():
+    # P ||h||^2 = 1e-300 * 1e-29 flushes to 0, and the reference objective
+    # with it: the relative oracle gap must not divide by zero
+    geom = ArrayGeometry(10, 0.5)
+    sc = Scenario(geom, -0.5, 1e-15 * steering_vector(geom, 0.2), 1e-300)
+    assert sc.power_budget * sc.channel_norm_sq == 0.0
+    for gamma in (0.0, 0.5 * sc.max_target_power):
+        report = run_verification(sc, gamma, resolution=65, trials=500)
+        assert report["closed_form"]["objective"] == 0.0
+        assert report["oracle"]["gap_rel"] == 0.0
+        json.dumps(report, allow_nan=False)
