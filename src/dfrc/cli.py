@@ -197,16 +197,17 @@ def build_scenario(config: dict, user_angle_deg=None) -> Scenario:
                 raise ConfigError(
                     "give either 'scenario.user_angle_deg' or 'scenario.channel', not both"
                 )
-            entries = sc["channel"]
             try:
-                channel = np.array(
-                    [complex(float(re), float(im)) for re, im in entries],
-                    dtype=np.complex128,
-                )
+                pairs = [(re, im) for re, im in sc["channel"]]
             except (TypeError, ValueError) as exc:
                 raise ConfigError(
                     "'scenario.channel' must be a list of [re, im] pairs"
                 ) from exc
+            for k, pair in enumerate(pairs):
+                for part in pair:
+                    if not _is_number(part):
+                        raise _not_a_number(f"scenario.channel[{k}]", part)
+            channel = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
             return Scenario(geometry, math.radians(target_deg), channel, power, amplitude)
         if user_angle_deg is None:
             user_angle_deg = _number(sc, "scenario", "user_angle_deg")
@@ -269,10 +270,12 @@ def _loss_grid(config: dict) -> np.ndarray:
 
 
 def _out_dir(config: dict, args) -> Path:
-    if args.out is not None:
-        directory = Path(args.out)
-    else:
-        directory = Path(_section(config, "output", required=False).get("directory", "."))
+    directory = args.out
+    if directory is None:
+        directory = _section(config, "output", required=False).get("directory", ".")
+        if not isinstance(directory, str):
+            raise ConfigError(f"'output.directory' must be a path, got {directory!r}")
+    directory = Path(directory)
     try:
         directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -419,8 +422,9 @@ def main(argv=None) -> int:
     except InfeasibleRadarRequirement as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ValueError as exc:
-        # a ConfigError, or an input the library itself rejects (such as the
-        # oracle's grid size or the falsifier's trial count)
+    except (ValueError, MemoryError) as exc:
+        # a ConfigError, an input the library itself rejects (such as the
+        # oracle's grid size or the falsifier's trial count), or an array
+        # numpy cannot allocate (such as the steering vector of a huge array)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,9 +6,9 @@ Three oracles, none of which call into the closed-form solver:
   subspace spanned by the channel and the target steering vector (first-order
   conditions confine the optimum to that span; the falsifier probes the full
   space separately), with optional zooming refinement around the best cell.
-* kkt_check - Lagrange-dual certificate: the least upper bound weak duality
-  gives on the received power of any feasible beam, and its multiplier;
-  the problem has zero duality gap, so the bound is the optimum itself.
+* kkt_check - Lagrange-dual certificate: weak duality's upper bound on the
+  received power of any feasible beam, evaluated once at the multiplier the
+  optimum implies; with zero duality gap the bound is the optimum itself.
 * random_falsifier - seeded sampling of power-exact random beams from the
   exact full-space distribution via (h^H c, a_t^H c, ||c||^2); no feasible
   draw may ever beat the analytical optimum.
@@ -304,12 +304,12 @@ def grid_search_oracle(
     )
 
 
-def _dual_slope(x: float, rho: float, g: float, w: float) -> float:
-    """d'(x), as a difference of two nonnegative terms on each side of x = 1."""
-    s = math.sqrt((0.5 - 0.5 * x) ** 2 + x * rho)
-    if x < 1.0:
-        return rho * (1.0 + x + 2.0 * s) / (2.0 * s * (1.0 - x + 2.0 * s)) - g
-    return w - 2.0 * x * rho * (1.0 - rho) / (s * (x + 1.0 + 2.0 * s) * (x - 1.0 + 2.0 * s))
+def _dual_witness(rho: float, g: float, w: float) -> float:
+    """x* = -F'(g), the minimizer of d (see kkt_check) when 0 <= rho < g and w > 0."""
+    root_rho, root_free = math.sqrt(rho), math.sqrt(1.0 - rho)
+    scale = math.sqrt(g) * root_rho + math.sqrt(w) * root_free
+    # clamped at 0 against rounding near g = rho; exactly 1 at rho = 0
+    return max(scale * root_free / math.sqrt(w) - scale * root_rho / math.sqrt(g), 0.0)
 
 
 def kkt_check(
@@ -325,12 +325,16 @@ def kkt_check(
     x = lambda ||a_t||^2 / ||h||^2, rho = |h^H a_t|^2 / (||h||^2 ||a_t||^2),
     g = gamma / (power ||a_t||^2) and w = 1 - g (formed from the slack
     power ||a_t||^2 - gamma, so it keeps its digits near the top), D is
-    d(x) = x w + max(1 - x, 0) + x rho / (s + |1 - x| / 2) with
-    s = sqrt(((1 - x) / 2)^2 + x rho): a convex, scale-free function whose
-    terms are all nonnegative, minimized by bisection on the sign of d'.
-    d'(0) = rho - g, so x = 0 when g <= rho. At rho = 0, d = x w + max(1 -
-    x, 0) has its minimum w at the kink x = 1. When w <= 0 (the top of the
-    feasible range) d decreases towards rho and no finite multiplier exists.
+    d(x) = x w + (1 - x) / 2 + s with s = sqrt(((1 - x) / 2)^2 + x rho), a
+    convex, scale-free function; for x > 1 its last two terms are formed as
+    x rho / (s + (x - 1) / 2), so no term cancels. It is evaluated once, at
+    a witness x: 0 when g <= rho (d'(0) = rho - g), and otherwise the
+    multiplier that the optimum F(g) = (sqrt(g rho) + sqrt(w (1 - rho)))^2
+    implies by the envelope theorem, x* = -F'(g). When w <= 0 (the top of
+    the feasible range) d decreases towards rho and no finite multiplier
+    exists. By weak duality d(x) bounds the optimum at every x >= 0, so a
+    wrong witness can only raise D: a correct beam would then fail
+    ``dual_gap``, a visible false alarm, and a wrong beam can never pass.
     ||h||^2 and |h^H a_t| are formed from the vectors; ||a_t||^2 is the
     scenario's M, so the top of the range is where ``classify_case`` puts it.
     ``solution`` is only checked for shape: the certificate depends on the
@@ -351,21 +355,10 @@ def kkt_check(
         x, d = 0.0, 1.0
     elif w <= 0.0:
         x, d = None, rho
-    elif rho == 0.0:
-        x, d = 1.0, w
     else:
-        lo, hi = 0.0, 1.0
-        while _dual_slope(hi, rho, g, w) < 0.0:
-            lo, hi = hi, 2.0 * hi
-        while hi - lo > 2.0**-52 * hi:
-            mid = 0.5 * (lo + hi)
-            if _dual_slope(mid, rho, g, w) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        x = 0.5 * (lo + hi)
+        x = _dual_witness(rho, g, w)
         s = math.sqrt((0.5 - 0.5 * x) ** 2 + x * rho)
-        d = x * w + max(1.0 - x, 0.0) + x * rho / (s + 0.5 * abs(1.0 - x))
+        d = x * w + (0.5 - 0.5 * x + s if x <= 1.0 else x * rho / (s + 0.5 * x - 0.5))
     return KktCertificate(
         dual_lambda=None if x is None else x * hh / aa,
         bound=scenario.power_budget * hh * d,

@@ -739,3 +739,58 @@ class TestUnknownConfigKeys:
         path.write_text(yaml.safe_dump({"scenario": [1, 2], "radar": {"gamma": 5.0}}))
         assert main(["solve", "--config", str(path)]) == EXIT_USAGE
         assert "config section 'scenario' must be a mapping" in capsys.readouterr().err
+
+
+class TestValuesOfTheWrongKind:
+    @pytest.mark.parametrize("command", ["sweep", "beampattern"])
+    @pytest.mark.parametrize("directory", [5, ["a", "b"], True], ids=repr)
+    def test_output_directory_must_be_a_path(self, tmp_path, capsys, command, directory):
+        path = write_config(tmp_path, {"output": {"directory": directory}})
+        assert main([command, "--config", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: 'output.directory' must be a path, got {directory!r}\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "entry, got",
+        [([True, False], "True"), (["1", "0"], "'1'"), ([1.0, None], "None")],
+        ids=repr,
+    )
+    def test_channel_parts_must_be_numbers(self, tmp_path, capsys, entry, got):
+        channel = [[1.0, 0.0], entry]
+        path = write_config(tmp_path, {"scenario": {"num_antennas": 2, "channel": channel}})
+        cfg = load_config(path)
+        cfg["scenario"].pop("user_angle_deg")
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["solve", "--config", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            f"error: 'scenario.channel[1]' must be a number, got {got}"
+        )
+
+    def test_channel_part_without_a_dot_names_the_fix(self, tmp_path, capsys):
+        path = tmp_path / "config.yaml"
+        path.write_text(
+            "scenario: {num_antennas: 2, target_angle_deg: -30.0,"
+            " channel: [[1.0, 0.0], [1e-3, 0.0]]}\nradar: {gamma: 0.5}\n"
+        )
+        assert main(["solve", "--config", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: 'scenario.channel[1]' must be a number, got '1e-3';"
+            " write it with a decimal point, as 0.001\n"
+        )
+
+    def test_refused_allocation_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        # numpy raises MemoryError when it cannot allocate, as for the
+        # steering vector of num_antennas: 1000000000000; nothing is allocated here
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+        def refuse(config, user_angle_deg=None):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli_mod, "build_scenario", refuse)
+        assert main(["solve", "--config", str(write_config(tmp_path))]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
