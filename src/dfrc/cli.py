@@ -1,9 +1,10 @@
 """Command-line interface: solve | sweep | beampattern | verify.
 
 All subcommands read a YAML config describing the scenario and the radar
-requirement; see configs/reference.yaml for the full schema. Exit codes:
-0 success, 1 usage or config error, 2 infeasible radar requirement,
-3 verification failure.
+requirement. ``_SCHEMA`` below is the one statement of the config schema:
+each key's kind, default and required flag (configs/reference.yaml is a
+full example). Exit codes: 0 success, 1 usage or config error,
+2 infeasible radar requirement, 3 verification failure.
 """
 
 import argparse
@@ -28,14 +29,13 @@ from .sweep import (
     _check_loss_grid,
     _overwrite,
     beampattern_sweep,
-    default_loss_grid_db,
     tradeoff_sweep,
     write_beampattern_csv,
     write_tradeoff_csv,
 )
 from .verify import DEFAULT_SEED, DEFAULT_TRIALS, run_verification
 
-__all__ = ["ConfigError", "build_scenario", "load_config", "main", "serialize_config"]
+__all__ = ["ConfigError", "build_scenario", "load_config", "main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,30 +47,35 @@ class ConfigError(ValueError):
     """Bad command line or config file; maps to exit code 1."""
 
 
-# every key a config may hold, by section (None is the top level); any other
-# key is a misspelling, rejected before anything is built
-_KNOWN_KEYS = {
-    None: ("scenario", "radar", "sweep", "verify", "output"),
-    "scenario": (
-        "num_antennas",
-        "spacing_over_wavelength",
-        "target_angle_deg",
-        "user_angle_deg",
-        "channel",
-        "power",
-        "target_amplitude",
-    ),
-    "radar": ("gamma", "snr0", "snr_loss_db"),
-    "sweep": (
-        "loss_grid_db",
-        "loss_start_db",
-        "loss_stop_db",
-        "loss_step_db",
-        "user_angles_deg",
-        "beampattern_losses_db",
-    ),
-    "verify": ("resolution", "trials", "seed"),
-    "output": ("directory",),
+# The config schema: section -> key -> (kind, default, required). A key left
+# out or null takes its default; a required key has none. A command reads a
+# key only when it uses it: only the given one of the radar keys, and the
+# user angle only when no channel is given.
+_SCHEMA = {
+    "scenario": {
+        "num_antennas": ("integer", None, True),
+        "spacing_over_wavelength": ("number", 0.5, False),
+        "target_angle_deg": ("number", None, True),
+        "user_angle_deg": ("number", None, True),
+        "channel": ("channel", None, True),
+        "power": ("number", 1.0, False),
+        "target_amplitude": ("number", 1.0, False),
+    },
+    "radar": dict.fromkeys(("gamma", "snr0", "snr_loss_db"), ("number", None, True)),
+    "sweep": {
+        "loss_grid_db": ("numbers", None, False),
+        "loss_start_db": ("number", -40.0, False),
+        "loss_stop_db": ("number", 0.0, False),
+        "loss_step_db": ("number", 0.25, False),
+        "user_angles_deg": ("numbers", None, False),
+        "beampattern_losses_db": ("numbers", DEFAULT_BEAMPATTERN_LOSSES_DB, False),
+    },
+    "verify": {
+        "resolution": ("integer", None, False),
+        "trials": ("integer", DEFAULT_TRIALS, False),
+        "seed": ("integer", DEFAULT_SEED, False),
+    },
+    "output": {"directory": ("path", ".", False)},
 }
 
 
@@ -93,30 +98,21 @@ def load_config(path) -> dict:
         raise ConfigError(f"invalid config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must be a mapping at top level")
-    _check_known_keys(data)
+    # any key the schema does not name is a misspelling, rejected before
+    # anything is built; a malformed section is reported where it is read
+    unknown = [name for name in data if name not in _SCHEMA]
+    for name, keys in _SCHEMA.items():
+        if isinstance(data.get(name), dict):
+            unknown += [f"{name}.{key}" for key in data[name] if key not in keys]
+    if unknown:
+        raise ConfigError(f"unknown config key '{unknown[0]}'")
     return data
 
 
-def _check_known_keys(config: dict) -> None:
-    for section, known in _KNOWN_KEYS.items():
-        block = config if section is None else config.get(section)
-        if not isinstance(block, dict):
-            continue  # a missing or malformed section is reported where it is read
-        for key in block:
-            if key not in known:
-                name = key if section is None else f"{section}.{key}"
-                raise ConfigError(f"unknown config key '{name}'")
-
-
-def serialize_config(config: dict) -> str:
-    """Canonical YAML for a config dict; parses back equal via load."""
-    return yaml.safe_dump(config, sort_keys=True, default_flow_style=False)
-
-
-def _section(config: dict, name: str, required: bool = True) -> dict:
+def _section(config: dict, name: str) -> dict:
     block = config.get(name)
     if block is None:
-        if required:
+        if any(required for _, _, required in _SCHEMA[name].values()):
             raise ConfigError(f"config is missing the '{name}' section")
         return {}
     if not isinstance(block, dict):
@@ -124,18 +120,20 @@ def _section(config: dict, name: str, required: bool = True) -> dict:
     return block
 
 
-def _is_number(value) -> bool:
-    # YAML booleans are ints to Python; they are not numbers here
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _not_a_number(name: str, value) -> ConfigError:
-    """The error for a config value that is not a number.
+def _float(value, name: str) -> float:
+    """``value`` as a float if it is a number; ``name`` is its config key.
 
     YAML 1.1 reads a float only with a decimal point and a signed exponent,
     so ``1e-310`` arrives as text; for text that reads as a finite float the
-    message says how to write it.
+    message says how to write it. An integer too large for a float is read
+    as the infinity YAML gives for ``1.0e400``.
     """
+    # YAML booleans are ints to Python; they are not numbers here
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
     message = f"'{name}' must be a number, got {value!r}"
     try:
         number = float(value) if isinstance(value, str) else math.nan
@@ -146,35 +144,36 @@ def _not_a_number(name: str, value) -> ConfigError:
         if "." not in mantissa:
             mantissa += ".0"
         message += f"; write it with a decimal point, as {mantissa}{e}{exponent}"
-    return ConfigError(message)
+    raise ConfigError(message)
 
 
-def _number(block: dict, section: str, key: str, default=None):
-    value = block.get(key, default)
+def _value(config: dict, section: str, key: str):
+    """The value of ``section.key``, checked against its kind in ``_SCHEMA``."""
+    kind, default, required = _SCHEMA[section][key]
+    value = _section(config, section).get(key)
+    name = f"{section}.{key}"
     if value is None:
-        raise ConfigError(f"config is missing '{section}.{key}'")
-    if not _is_number(value):
-        raise _not_a_number(f"{section}.{key}", value)
+        if required:
+            raise ConfigError(f"config is missing '{name}'")
+        return default
+    if kind == "number":
+        return _float(value, name)
+    if kind == "integer" and (not isinstance(value, int) or isinstance(value, bool)):
+        raise ConfigError(f"'{name}' must be an integer, got {value!r}")
+    if kind == "path" and not isinstance(value, str):
+        raise ConfigError(f"'{name}' must be a path, got {value!r}")
+    if kind == "numbers":
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"'{name}' must be a nonempty list")
+        return [_float(v, f"{name}[{index}]") for index, v in enumerate(value)]
+    if kind == "channel":
+        try:
+            pairs = [(re, im) for re, im in value]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"'{name}' must be a list of [re, im] pairs") from exc
+        parts = [_float(part, f"{name}[{k}]") for k, pair in enumerate(pairs) for part in pair]
+        return np.array(parts, dtype=np.float64).view(np.complex128)  # re, im, re, im, ...
     return value
-
-
-def _integer(block: dict, section: str, key: str, default=None) -> int:
-    value = block.get(key, default)
-    if value is None:
-        raise ConfigError(f"config is missing '{section}.{key}'")
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"'{section}.{key}' must be an integer, got {value!r}")
-    return value
-
-
-def _number_list(values, name: str) -> list:
-    """``values`` if it is a nonempty list of numbers; ``name`` is its config key."""
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"'{name}' must be a nonempty list")
-    for index, value in enumerate(values):
-        if not _is_number(value):
-            raise _not_a_number(f"{name}[{index}]", value)
-    return values
 
 
 def build_scenario(config: dict, user_angle_deg=None) -> Scenario:
@@ -184,12 +183,12 @@ def build_scenario(config: dict, user_angle_deg=None) -> Scenario:
     batch sweeps). The channel comes either from 'user_angle_deg'
     (line of sight) or from 'channel' as [[re, im], ...] entries.
     """
+    m = _value(config, "scenario", "num_antennas")
+    spacing = _value(config, "scenario", "spacing_over_wavelength")
+    target_deg = _value(config, "scenario", "target_angle_deg")
+    power = _value(config, "scenario", "power")
+    amplitude = _value(config, "scenario", "target_amplitude")
     sc = _section(config, "scenario")
-    m = _integer(sc, "scenario", "num_antennas")
-    spacing = float(_number(sc, "scenario", "spacing_over_wavelength", 0.5))
-    target_deg = float(_number(sc, "scenario", "target_angle_deg"))
-    power = float(_number(sc, "scenario", "power", 1.0))
-    amplitude = float(_number(sc, "scenario", "target_amplitude", 1.0))
     try:
         geometry = ArrayGeometry(m, spacing)
         if user_angle_deg is None and "channel" in sc:
@@ -197,24 +196,14 @@ def build_scenario(config: dict, user_angle_deg=None) -> Scenario:
                 raise ConfigError(
                     "give either 'scenario.user_angle_deg' or 'scenario.channel', not both"
                 )
-            try:
-                pairs = [(re, im) for re, im in sc["channel"]]
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(
-                    "'scenario.channel' must be a list of [re, im] pairs"
-                ) from exc
-            for k, pair in enumerate(pairs):
-                for part in pair:
-                    if not _is_number(part):
-                        raise _not_a_number(f"scenario.channel[{k}]", part)
-            channel = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+            channel = _value(config, "scenario", "channel")
             return Scenario(geometry, math.radians(target_deg), channel, power, amplitude)
         if user_angle_deg is None:
-            user_angle_deg = _number(sc, "scenario", "user_angle_deg")
+            user_angle_deg = _value(config, "scenario", "user_angle_deg")
         return Scenario.with_los_user(
             geometry,
             math.radians(target_deg),
-            math.radians(float(user_angle_deg)),
+            math.radians(user_angle_deg),
             power,
             amplitude,
         )
@@ -224,35 +213,28 @@ def build_scenario(config: dict, user_angle_deg=None) -> Scenario:
         raise ConfigError(f"invalid scenario: {exc}") from exc
 
 
-def build_radar_spec(config: dict) -> RadarSnrSpec:
+def resolve_gamma(config: dict, scenario: Scenario) -> float:
+    """Target power from the one requirement in the 'radar' config section."""
     rb = _section(config, "radar")
     keys = [k for k in ("snr_loss_db", "gamma", "snr0") if k in rb]
     if len(keys) != 1:
         raise ConfigError(
             f"'radar' must contain exactly one of snr_loss_db, gamma, snr0; got {keys or 'none'}"
         )
-    value = _number(rb, "radar", keys[0])
+    value = _value(config, "radar", keys[0])
     field = {"snr0": "snr_threshold"}.get(keys[0], keys[0])
-    return RadarSnrSpec(**{field: float(value)})
-
-
-def resolve_gamma(config: dict, scenario: Scenario) -> float:
     try:
-        return resolve_radar_spec(build_radar_spec(config), scenario).gamma
-    except ConfigError:
-        raise
+        return resolve_radar_spec(RadarSnrSpec(**{field: value}), scenario).gamma
     except ValueError as exc:
         raise ConfigError(f"invalid radar requirement: {exc}") from exc
 
 
 def _loss_grid(config: dict) -> np.ndarray:
-    sw = _section(config, "sweep", required=False)
-    if "loss_grid_db" in sw:
-        values = _number_list(sw["loss_grid_db"], "sweep.loss_grid_db")
-    elif {"loss_start_db", "loss_stop_db", "loss_step_db"} & sw.keys():
-        start = float(_number(sw, "sweep", "loss_start_db", -40.0))
-        stop = float(_number(sw, "sweep", "loss_stop_db", 0.0))
-        step = float(_number(sw, "sweep", "loss_step_db", 0.25))
+    values = _value(config, "sweep", "loss_grid_db")
+    if values is None:
+        start, stop, step = (
+            _value(config, "sweep", f"loss_{bound}_db") for bound in ("start", "stop", "step")
+        )
         if not all(math.isfinite(v) for v in (start, stop, step)):
             raise ConfigError("loss grid bounds and step must be finite")
         if not step > 0:
@@ -261,8 +243,6 @@ def _loss_grid(config: dict) -> np.ndarray:
         if count < 1 or abs(count * step - (stop - start)) > 1e-9:
             raise ConfigError("loss grid bounds must differ by a whole number of steps")
         values = np.linspace(start, stop, count + 1)
-    else:
-        return default_loss_grid_db()
     try:
         return _check_loss_grid(values)
     except (TypeError, ValueError) as exc:
@@ -270,12 +250,7 @@ def _loss_grid(config: dict) -> np.ndarray:
 
 
 def _out_dir(config: dict, args) -> Path:
-    directory = args.out
-    if directory is None:
-        directory = _section(config, "output", required=False).get("directory", ".")
-        if not isinstance(directory, str):
-            raise ConfigError(f"'output.directory' must be a path, got {directory!r}")
-    directory = Path(directory)
+    directory = Path(_value(config, "output", "directory") if args.out is None else args.out)
     try:
         directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -331,15 +306,10 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
     losses = _loss_grid(config)
-    sw = _section(config, "sweep", required=False)
     out_dir = _out_dir(config, args)
-    angles = sw.get("user_angles_deg")
+    angles = _value(config, "sweep", "user_angles_deg")
     if angles is not None:
-        _number_list(angles, "sweep.user_angles_deg")
-        jobs = [
-            (f"tradeoff_{_angle_label(float(a))}.csv", build_scenario(config, float(a)))
-            for a in angles
-        ]
+        jobs = [(f"tradeoff_{_angle_label(a)}.csv", build_scenario(config, a)) for a in angles]
     else:
         jobs = [("tradeoff.csv", build_scenario(config))]
     for filename, scenario in jobs:
@@ -352,14 +322,10 @@ def cmd_sweep(args) -> int:
 def cmd_beampattern(args) -> int:
     config = load_config(args.config)
     scenario = build_scenario(config)
-    sw = _section(config, "sweep", required=False)
-    losses = sw.get("beampattern_losses_db")
-    if losses is None:
-        losses = list(DEFAULT_BEAMPATTERN_LOSSES_DB)
-    _number_list(losses, "sweep.beampattern_losses_db")
+    losses = _value(config, "sweep", "beampattern_losses_db")
     out_dir = _out_dir(config, args)
     try:
-        patterns = beampattern_sweep(scenario, [float(v) for v in losses])
+        patterns = beampattern_sweep(scenario, losses)
     except ValueError as exc:
         raise ConfigError(f"invalid beampattern losses: {exc}") from exc
     path = write_beampattern_csv(patterns, out_dir / "beampattern.csv")
@@ -371,19 +337,12 @@ def cmd_verify(args) -> int:
     config = load_config(args.config)
     scenario = build_scenario(config)
     gamma = resolve_gamma(config, scenario)
-    vb = _section(config, "verify", required=False)
-    resolution = args.resolution
-    if resolution is None and vb.get("resolution") is not None:
-        resolution = _integer(vb, "verify", "resolution")
-    trials = args.trials
-    if trials is None:
-        trials = _integer(vb, "verify", "trials", DEFAULT_TRIALS)
-    seed = args.seed
-    if seed is None:
-        seed = _integer(vb, "verify", "seed", DEFAULT_SEED)
-    report = run_verification(
-        scenario, gamma, resolution=resolution, trials=trials, seed=seed
-    )
+    # each flag overrides its config key, which is then not read
+    settings = {
+        key: _value(config, "verify", key) if getattr(args, key) is None else getattr(args, key)
+        for key in ("resolution", "trials", "seed")
+    }
+    report = run_verification(scenario, gamma, **settings)
     _emit_text(json.dumps(report, indent=2) + "\n", args.out)
     if not report["passed"]:
         print(
@@ -398,7 +357,6 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="YAML config path")
     common.add_argument("--out", default=None, help="output file or directory")
-    common.add_argument("--seed", type=int, default=None, help="falsifier seed (verify)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", parents=[common], help="closed-form beamformer and capacity")
@@ -410,6 +368,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", parents=[common], help="cross-check the solution with the oracles")
     p.add_argument("--resolution", type=int, default=None, help="oracle grid points per axis")
     p.add_argument("--trials", type=int, default=None, help="falsifier trial count")
+    p.add_argument("--seed", type=int, default=None, help="falsifier seed")
     p.set_defaults(func=cmd_verify)
     return parser
 

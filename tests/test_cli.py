@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -21,7 +22,6 @@ from dfrc.cli import (
     build_scenario,
     load_config,
     main,
-    serialize_config,
 )
 
 REFERENCE = {
@@ -79,13 +79,6 @@ class TestConfigHandling:
         assert sc.power_budget == 1.0
         assert abs(sc.cross_gain) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
-    def test_serialize_round_trip(self, tmp_path):
-        path = write_config(tmp_path)
-        cfg = load_config(path)
-        text = serialize_config(cfg)
-        again = yaml.safe_load(text)
-        assert again == cfg
-
     def test_explicit_channel(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -129,6 +122,28 @@ class TestConfigHandling:
     def test_unknown_argument_is_usage_error(self, tmp_path):
         rc = main(["solve", "--config", str(write_config(tmp_path)), "--bogus"])
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "beampattern"])
+    def test_seed_is_a_verify_flag(self, tmp_path, capsys, command):
+        # only verify draws random beams; elsewhere --seed would do nothing
+        rc = main([command, "--config", str(write_config(tmp_path)), "--seed", "1"])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == "error: unrecognized arguments: --seed 1\n"
+
+    def test_readme_schema_names_every_key(self):
+        # the README's schema block, commented alternatives included, names
+        # exactly the sections and keys of the CLI's schema table
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("### Config schema\n\n```yaml\n", 1)[1].split("```", 1)[0]
+        sections, keys = [], set()
+        for line in block.splitlines():
+            match = re.match(r"( *)(?:# )?(\w+):", line)
+            if match and match[1]:
+                keys.add(f"{sections[-1]}.{match[2]}")
+            elif match:
+                sections.append(match[2])
+        assert sections == list(cli_mod._SCHEMA)
+        assert keys == {f"{s}.{k}" for s, table in cli_mod._SCHEMA.items() for k in table}
 
     def test_missing_subcommand_is_usage_error(self):
         assert main([]) == EXIT_USAGE
@@ -710,6 +725,50 @@ class TestVerifyFailurePath:
         assert report["passed"] is False
         assert "solution_power" in report["failed"]
         assert "solution_power" in captured.err
+
+
+# an integer beyond float range; YAML reads 1.0e400 as inf but this as an int
+HUGE_INTEGER = "1" + "0" * 400
+# every config key that holds numbers, with its kind
+NUMBER_KEYS = [
+    (section, key, kind)
+    for section, table in cli_mod._SCHEMA.items()
+    for key, (kind, _, _) in table.items()
+    if kind in ("number", "numbers", "channel")
+]
+
+
+class TestHugeIntegers:
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["plus", "minus"])
+    @pytest.mark.parametrize(
+        "section, key, kind", NUMBER_KEYS, ids=[f"{s}.{k}" for s, k, _ in NUMBER_KEYS]
+    )
+    def test_huge_integer_reads_as_infinity(self, tmp_path, capsys, section, key, kind, sign):
+        # the same exit code and messages as the key written as .inf or -.inf
+        cfg = json.loads(json.dumps(REFERENCE))
+        marker = 123.25
+        value = {"number": marker, "numbers": [marker], "channel": [[marker, 0.0], [0.0, 1.0]]}
+        if section == "radar":
+            cfg["radar"] = {}
+        if kind == "channel":
+            del cfg["scenario"]["user_angle_deg"]
+            cfg["scenario"]["num_antennas"] = 2
+        cfg.setdefault(section, {})[key] = value[kind]
+        text = yaml.safe_dump(cfg)
+        assert text.count(str(marker)) == 1
+        if section != "sweep":
+            command = "solve"
+        else:
+            command = "beampattern" if key == "beampattern_losses_db" else "sweep"
+        path = tmp_path / "config.yaml"
+        outcomes = []
+        for written in (sign + HUGE_INTEGER, sign + ".inf"):
+            path.write_text(text.replace(str(marker), written))
+            rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+            captured = capsys.readouterr()
+            outcomes.append((rc, captured.err, captured.out))
+        assert isinstance(yaml.safe_load(f"x: {sign}{HUGE_INTEGER}")["x"], int)
+        assert outcomes[0] == outcomes[1]
 
 
 class TestUnknownConfigKeys:
