@@ -29,7 +29,6 @@ from .model import (
 from .oracle import (
     FalsifierResult,
     KktCertificate,
-    OracleResolutionError,
     OracleSolution,
     grid_search_oracle,
     kkt_check,
@@ -55,7 +54,6 @@ __all__ = [
     "FalsifierResult",
     "InfeasibleRadarRequirement",
     "KktCertificate",
-    "OracleResolutionError",
     "OracleSolution",
     "RadarSnrSpec",
     "Scenario",

@@ -33,7 +33,7 @@ from .sweep import (
     write_beampattern_csv,
     write_tradeoff_csv,
 )
-from .verify import DEFAULT_SEED, DEFAULT_TRIALS, run_verification
+from .verify import DEFAULT_RESOLUTION, DEFAULT_SEED, DEFAULT_TRIALS, run_verification
 
 __all__ = ["ConfigError", "build_scenario", "load_config", "main"]
 
@@ -71,7 +71,7 @@ _SCHEMA = {
         "beampattern_losses_db": ("numbers", DEFAULT_BEAMPATTERN_LOSSES_DB, False),
     },
     "verify": {
-        "resolution": ("integer", None, False),
+        "resolution": ("integer", DEFAULT_RESOLUTION, False),
         "trials": ("integer", DEFAULT_TRIALS, False),
         "seed": ("integer", DEFAULT_SEED, False),
     },

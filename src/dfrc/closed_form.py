@@ -61,10 +61,7 @@ class BeamformerSolution:
 
     ``vector_c`` is the beamforming vector, ``coeff_a``/``coeff_b`` the
     complex weights on the channel and the target steering vector in
-    ``c = coeff_a * h + coeff_b * a_t``. ``eta`` and ``beta`` are the
-    intermediate magnitude and discriminant of the constrained case; both are
-    None when the constraint is slack or the channel is (numerically)
-    parallel to the steering vector.
+    ``c = coeff_a * h + coeff_b * a_t``.
 
     Every reported quantity is a scalar function of ``vector_c``: its power
     is ||c||^2, the target power |a_t^H c|^2 and the received power
@@ -77,8 +74,6 @@ class BeamformerSolution:
     coeff_b: complex
     vector_c: np.ndarray
     capacity_bits: float
-    eta: float | None = None
-    beta: float | None = None
 
 
 class _Constants:
@@ -170,13 +165,13 @@ def assemble_covariance(vector_c: np.ndarray) -> np.ndarray:
 
 
 def _optimum(k: _Constants, gamma):
-    """(case, optimal h^H R h, capacity in bits, discriminant) at ``gamma``.
+    """(case, optimal h^H R h, capacity in bits, slack) at ``gamma``.
 
-    The discriminant is None below the threshold; otherwise it is the
-    triple (slack, denom, beta): slack = P M - gamma, denom = ||h||^2 M -
-    |h^H a_t|^2 and beta = slack * denom, each clamped at zero to absorb
-    float dust at the upper boundary and at collinearity. Raises
-    InfeasibleRadarRequirement above the feasible maximum.
+    The slack P M - gamma is None below the threshold; otherwise it and
+    ``k.denom`` = ||h||^2 M - |h^H a_t|^2, whose product beta is the
+    discriminant, are each clamped at zero to absorb float dust at the upper
+    boundary and at collinearity. Raises InfeasibleRadarRequirement above
+    the feasible maximum.
     """
     tag = _classify(k, gamma)
     if tag is _INFEASIBLE:
@@ -189,25 +184,23 @@ def _optimum(k: _Constants, gamma):
     beta = slack * k.denom
     root = math.sqrt(gamma) * k.gabs + math.sqrt(beta)
     received = root * root / k.aa_sq
-    return tag, received, math.log2(1.0 + received), (slack, k.denom, beta)
+    return tag, received, math.log2(1.0 + received), slack
 
 
 def _beam(k: _Constants, gamma):
-    """(case, capacity, coeff_a, coeff_b, eta, beta) of the optimal beam at ``gamma``.
+    """(case, capacity, coeff_a, coeff_b) of the optimal beam at ``gamma``.
 
     Below the threshold, or with the channel numerically parallel to the
-    steering vector, the matched beam already meets the constraint; eta and
-    beta are None there.
+    steering vector, the matched beam already meets the constraint.
     """
-    tag, _, capacity, discriminant = _optimum(k, gamma)
-    if discriminant is None or k.collinear:
-        return tag, capacity, k.matched, 0j, None, None
-    slack, denom, beta = discriminant
-    eta = math.sqrt(slack / denom)
+    tag, _, capacity, slack = _optimum(k, gamma)
+    if slack is None or k.collinear:
+        return tag, capacity, k.matched, 0j
+    eta = math.sqrt(slack / k.denom)
     # nonnegative by construction; the clamp absorbs dust at the lower case
     # boundary where |b| -> 0
     b_mag = max(math.sqrt(gamma) / k.aa - k.gabs * eta / k.aa, 0.0)
-    return tag, capacity, eta * k.rotation, complex(b_mag), eta, beta
+    return tag, capacity, eta * k.rotation, complex(b_mag)
 
 
 def optimal_received_power(scenario: Scenario, gamma: float) -> float:
@@ -232,15 +225,7 @@ def solve_closed_form(scenario: Scenario, gamma: float) -> BeamformerSolution:
     that inner product is exactly zero), making the output deterministic.
     Only the vector c is formed, never the M x M covariance c c^H.
     """
-    tag, capacity, a, b, eta, beta = _beam(_constants(scenario), gamma)
+    tag, capacity, a, b = _beam(_constants(scenario), gamma)
     c = a * scenario.channel + b * scenario.target_steering
     c.setflags(write=False)
-    return BeamformerSolution(
-        case=tag,
-        coeff_a=a,
-        coeff_b=b,
-        vector_c=c,
-        capacity_bits=capacity,
-        eta=eta,
-        beta=beta,
-    )
+    return BeamformerSolution(case=tag, coeff_a=a, coeff_b=b, vector_c=c, capacity_bits=capacity)

@@ -23,6 +23,8 @@ __all__ = [
 ]
 
 _HALF_PI = math.pi / 2.0
+# the most elements numpy can index along one axis
+MAX_COUNT = int(np.iinfo(np.intp).max)
 
 
 class InfeasibleRadarRequirement(ValueError):
@@ -54,13 +56,6 @@ def _integer(value, label: str) -> int:
     raise ValueError(f"{label} must be an integer, got {value!r}")
 
 
-def _flag(value, label: str) -> bool:
-    """``value`` as a bool: Python and numpy bools only."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    raise ValueError(f"{label} must be a bool, got {value!r}")
-
-
 def _positive_finite(value, label: str) -> float:
     value = float(value)
     if not (value > 0.0 and math.isfinite(value)):
@@ -79,6 +74,8 @@ class ArrayGeometry:
         n = self.num_antennas
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
             raise ValueError(f"num_antennas must be a positive integer, got {n!r}")
+        if n > MAX_COUNT:
+            raise ValueError(f"num_antennas must be at most {MAX_COUNT}")
         object.__setattr__(self, "num_antennas", int(n))
         d = _positive_finite(self.spacing_over_wavelength, "spacing_over_wavelength")
         object.__setattr__(self, "spacing_over_wavelength", d)

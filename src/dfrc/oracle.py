@@ -5,7 +5,7 @@ Three oracles, none of which call into the closed-form solver:
 * grid_search_oracle - exhaustive maximization over the two-dimensional
   subspace spanned by the channel and the target steering vector (first-order
   conditions confine the optimum to that span; the falsifier probes the full
-  space separately), with optional zooming refinement around the best cell.
+  space separately), refined by a zooming window search around the best cell.
 * kkt_check - Lagrange-dual certificate: weak duality's upper bound on the
   received power of any feasible beam, evaluated once at the multiplier the
   optimum implies; with zero duality gap the bound is the optimum itself.
@@ -21,21 +21,22 @@ import numpy as np
 
 from . import kernels
 from .closed_form import BeamformerSolution
-from .model import InfeasibleRadarRequirement, Scenario, _flag, _integer
+from .model import MAX_COUNT, InfeasibleRadarRequirement, Scenario, _integer
 
 __all__ = [
     "FalsifierResult",
     "KktCertificate",
-    "OracleResolutionError",
     "OracleSolution",
     "grid_search_oracle",
     "kkt_check",
     "random_falsifier",
 ]
 
-DEFAULT_RESOLUTION = (2001, 2001)
+DEFAULT_RESOLUTION = 2001
 DEFAULT_REFINE_ITERS = 40
 _MIN_RESOLUTION = 64
+# about 100 s of draws at 0.1 s per million
+MAX_TRIALS = 10**9
 # refinement window is _WINDOW x _WINDOW points; where the objective is
 # unimodal along an axis, an interior maximum brackets the true one between
 # its two neighbours, so that axis's half-width shrinks to one window
@@ -48,10 +49,6 @@ _RAMP.setflags(write=False)
 # its maximum can no longer resolve the objective: 2^-46 is about 64 ulps,
 # above the few tens of ulps of rounding in the evaluator's values
 _RESOLVED = 2.0**-46
-
-
-class OracleResolutionError(RuntimeError):
-    """Grid too coarse to locate any feasible candidate."""
 
 
 @dataclass(frozen=True)
@@ -67,8 +64,6 @@ class OracleSolution:
     amp_a: float
     phase_diff: float
     amp_b: float
-    grid_resolution: tuple[int, int]
-    refined: bool
 
 
 @dataclass(frozen=True)
@@ -103,10 +98,11 @@ def _scan_params(scenario: Scenario, gamma: float):
         "st_norm_sq": scenario.steering_norm_sq,
         "cross_abs": abs(g),
         "cross_arg": float(np.angle(g)) if g != 0 else 0.0,
-        # the pure steering beam is the only candidate at amp = 0; it meets
-        # the threshold exactly at the top of the feasible range, so anchor
-        # its feasibility analytically instead of trusting float dust
-        "amp0_feasible": float(gamma) <= scenario.max_target_power * (1.0 + 1e-12),
+        # the amp = 0 candidate, the pure steering beam, puts P M on the
+        # target, and grid_search_oracle rejects every gamma above P M
+        # (1 + 1e-12) first: it is feasible (anchored, not left to float
+        # dust), so the scan's amps[0] = 0.0 row always has a finite value
+        "amp0_feasible": True,
     }
 
 
@@ -185,23 +181,28 @@ def _refine(amp0, phase0, step_amp, step_phase, amp_max, params, iters):
     return best_obj, best_amp, best_phase, best_t
 
 
-def _resolution(resolution) -> tuple[int, int]:
-    """``resolution`` as (amp points, phase points): one integer for both
-    axes or a tuple or list of two, each a Python or numpy integer."""
-    pair = resolution if isinstance(resolution, (tuple, list)) else (resolution, resolution)
-    if len(pair) != 2:
-        raise ValueError(f"resolution must be an integer or a pair of integers, got {resolution!r}")
-    n_amp, n_phase = (_integer(n, "resolution") for n in pair)
-    if min(n_amp, n_phase) < _MIN_RESOLUTION:
+def _resolution(resolution) -> int:
+    """``resolution``, the points per axis, as an int: a Python or numpy integer."""
+    n = _integer(resolution, "resolution")
+    if n < _MIN_RESOLUTION:
         raise ValueError(f"resolution must be at least {_MIN_RESOLUTION} per axis")
-    return n_amp, n_phase
+    if n > MAX_COUNT:
+        raise ValueError(f"resolution must be at most {MAX_COUNT} per axis")
+    return n
+
+
+def _trials(trials) -> int:
+    """``trials`` as an int in [1, ``MAX_TRIALS``]: a Python or numpy integer."""
+    trials = _integer(trials, "trials")
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials!r}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}")
+    return trials
 
 
 def grid_search_oracle(
-    scenario: Scenario,
-    gamma: float,
-    resolution=DEFAULT_RESOLUTION,
-    refine: bool = True,
+    scenario: Scenario, gamma: float, resolution=DEFAULT_RESOLUTION
 ) -> OracleSolution:
     """Maximize the received power by brute force over the 2-D subspace.
 
@@ -229,33 +230,32 @@ def grid_search_oracle(
     below the best value so far are evaluated; collinear channels (kappa
     ~ 0) have the same ceiling on every row and keep them all. The result
     is bitwise that of testing every point.
-    With ``refine`` a zooming window search polishes the best cell: on each
-    axis where a window's maximum is interior, the next window spans just
-    the bracket between that maximum's two neighbours (a zoom of 1/8); where
-    it is on an edge, the window pans. The search stops at a fixed point,
+    A zooming window search then polishes the best cell: on each axis where
+    a window's maximum is interior, the next window spans just the bracket
+    between that maximum's two neighbours (a zoom of 1/8); where it is on an
+    edge, the window pans. The search stops at a fixed point,
     after ``DEFAULT_REFINE_ITERS`` windows, or after the first window whose
     feasible values all lie within 2^-46 (about 64 ulps) of that window's
     maximum, relative to it: that spread is the evaluator's rounding, so later
     windows could only chase it. A window with no feasible value never
     stops it. On the test corpora the windows so skipped would raise the
     objective by at most ~1e-15 relative (the tests bound it by 2^-40).
-    ``resolution`` is one Python or numpy integer for both axes, or a tuple
-    or list of two; a float, a bool or anything else raises ValueError, as
-    does a ``refine`` that is not a Python or numpy bool.
+    ``resolution`` is the points per axis, one Python or numpy integer for
+    both, from 64 to the most numpy can index; anything else, a float or a
+    bool included, raises ValueError.
     """
-    refine = _flag(refine, "refine")
     gamma = float(gamma)
     if not gamma >= 0.0:
         raise ValueError(f"gamma must be nonnegative, got {gamma!r}")
     gamma_max = scenario.max_target_power
     if gamma > gamma_max * (1.0 + 1e-12):
         raise InfeasibleRadarRequirement(gamma, gamma_max)
-    n_amp, n_phase = _resolution(resolution)
+    n = _resolution(resolution)
 
     params = _scan_params(scenario, gamma)
     amp_max = math.sqrt(scenario.power_budget / scenario.channel_norm_sq)
-    amps = np.linspace(0.0, amp_max, n_amp)
-    phases = np.linspace(0.0, 2.0 * math.pi, n_phase, endpoint=False)
+    amps = np.linspace(0.0, amp_max, n)
+    phases = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
 
     best, bi, bj = kernels.grid_scan(
         amps,
@@ -268,40 +268,16 @@ def grid_search_oracle(
         params["cross_abs"],
         params["amp0_feasible"],
     )
-    if bi < 0:
-        raise OracleResolutionError(
-            f"no feasible point on a {n_amp}x{n_phase} grid at threshold {gamma:g}; "
-            "increase the resolution"
-        )
-
-    step_amp = amp_max / (n_amp - 1)
-    step_phase = 2.0 * math.pi / n_phase
-    if refine:
-        best, best_amp, best_phase, best_t = _refine(
-            float(amps[bi]),
-            float(phases[bj]),
-            step_amp,
-            step_phase,
-            amp_max,
-            params,
-            DEFAULT_REFINE_ITERS,
-        )
-    else:
-        obj, t = _eval_window(np.array([amps[bi]]), np.array([phases[bj]]), params)
-        best, best_amp, best_phase, best_t = (
-            float(obj[0]),
-            float(amps[bi]),
-            float(phases[bj]),
-            float(t[0]),
-        )
-    return OracleSolution(
-        objective=best,
-        amp_a=best_amp,
-        phase_diff=best_phase,
-        amp_b=best_t,
-        grid_resolution=(n_amp, n_phase),
-        refined=refine,
+    best, best_amp, best_phase, best_t = _refine(
+        float(amps[bi]),
+        float(phases[bj]),
+        amp_max / (n - 1),
+        2.0 * math.pi / n,
+        amp_max,
+        params,
+        DEFAULT_REFINE_ITERS,
     )
+    return OracleSolution(objective=best, amp_a=best_amp, phase_diff=best_phase, amp_b=best_t)
 
 
 def _dual_witness(rho: float, g: float, w: float) -> float:
@@ -376,14 +352,13 @@ def random_falsifier(
     exact full-space distribution via (h^H c, a_t^H c, ||c||^2), so the cost
     does not depend on the array size. Deterministic in ``seed``.
     ``trials`` and ``seed`` must be Python or numpy integers: a float or a
-    bool raises ValueError instead of being truncated.
+    bool raises ValueError instead of being truncated, and so does a
+    ``trials`` above ``MAX_TRIALS`` (10^9), before any draw.
     """
     gamma = float(gamma)
     if not gamma >= 0.0:
         raise ValueError(f"gamma must be nonnegative, got {gamma!r}")
-    trials = _integer(trials, "trials")
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials!r}")
+    trials = _trials(trials)
     best, best_trial, feasible = kernels.falsifier_scan(
         _integer(seed, "seed"),
         trials,

@@ -118,7 +118,7 @@ def beampattern_sweep(scenario: Scenario, losses_db=None, angle_grid=None):
     out = []
     for loss in grid.tolist():
         # the grid is checked, so this is resolve_radar_spec's gamma
-        _, _, a, b, _, _ = _beam(k, _gamma_at_loss(k.gamma_max, loss))
+        _, _, a, b = _beam(k, _gamma_at_loss(k.gamma_max, loss))
         field = a * on_channel + b * on_target
         power = field.real * field.real + field.imag * field.imag
         power.setflags(write=False)

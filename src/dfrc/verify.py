@@ -16,8 +16,10 @@ import numbers
 import numpy as np
 
 from .closed_form import optimal_received_power, solve_closed_form
-from .model import Scenario, _flag, _integer
-from .oracle import _resolution, grid_search_oracle, kkt_check, random_falsifier
+from .model import Scenario, _integer
+from .oracle import (
+    DEFAULT_RESOLUTION, _resolution, _trials, grid_search_oracle, kkt_check, random_falsifier,
+)
 
 __all__ = ["run_verification"]
 
@@ -51,10 +53,9 @@ def run_verification(
     scenario: Scenario,
     gamma: float,
     *,
-    resolution=None,
+    resolution: int = DEFAULT_RESOLUTION,
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
-    refine: bool = True,
     perturb: float = 0.0,
 ) -> dict:
     """Solve at ``gamma`` and cross-examine the result with all three oracles.
@@ -66,15 +67,14 @@ def run_verification(
     failure paths); the reference objective stays analytical either way.
 
     Raises InfeasibleRadarRequirement when ``gamma`` exceeds the budget, and
-    ValueError, before solving, when ``trials`` or ``seed`` is not an
-    integer, ``resolution`` is not an integer or a pair of integers (see
-    ``grid_search_oracle``), ``refine`` is not a Python or numpy bool, or
-    ``perturb`` is not a Python or numpy real number (a bool is not one),
-    or is negative or not finite.
+    ValueError, before solving, when ``resolution``, ``trials`` or ``seed``
+    is not an integer, ``resolution`` or ``trials`` is out of its range (see
+    ``grid_search_oracle`` and ``random_falsifier``), or ``perturb`` is not
+    a Python or numpy real number (a bool is not one), or is negative or not
+    finite.
     """
-    trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
-    oracle_kwargs = {} if resolution is None else {"resolution": _resolution(resolution)}
-    refine = _flag(refine, "refine")
+    trials, seed = _trials(trials), _integer(seed, "seed")
+    resolution = _resolution(resolution)
     # numpy registers its floats and integers as numbers.Real; bool is one too
     if not isinstance(perturb, numbers.Real) or isinstance(perturb, bool):
         raise ValueError(f"perturb must be a real number, got {perturb!r}")
@@ -87,7 +87,7 @@ def run_verification(
         solution = _perturbed(solution, scenario, perturb, seed)
 
     reference_obj = optimal_received_power(scenario, gamma)
-    oracle = grid_search_oracle(scenario, gamma, refine=refine, **oracle_kwargs)
+    oracle = grid_search_oracle(scenario, gamma, resolution=resolution)
     certificate = kkt_check(solution, scenario, gamma)
     falsifier = random_falsifier(scenario, gamma, trials=trials, seed=seed)
 
@@ -124,8 +124,7 @@ def run_verification(
         },
         "gamma": gamma,
         "settings": {
-            "resolution": list(oracle.grid_resolution),
-            "refine": refine,
+            "resolution": resolution,
             "trials": trials,
             "seed": seed,
             "perturb": perturb,

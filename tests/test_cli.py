@@ -564,7 +564,7 @@ class TestVerifyCommand:
         assert rc == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
-        assert report["settings"]["resolution"] == [129, 129]
+        assert report["settings"]["resolution"] == 129
         assert report["settings"]["trials"] == 3000
         assert report["settings"]["seed"] == 1
 
@@ -587,7 +587,7 @@ class TestVerifyCommand:
         )
         assert rc == EXIT_OK
         report = json.loads(capsys.readouterr().out)
-        assert report["settings"]["resolution"] == [257, 257]
+        assert report["settings"]["resolution"] == 257
         assert report["settings"]["trials"] == 2000
         assert report["settings"]["seed"] == 9
 
@@ -769,6 +769,56 @@ class TestHugeIntegers:
             outcomes.append((rc, captured.err, captured.out))
         assert isinstance(yaml.safe_load(f"x: {sign}{HUGE_INTEGER}")["x"], int)
         assert outcomes[0] == outcomes[1]
+
+
+class TestCountsBeyondLimits:
+    # counts numpy cannot index, and more falsifier draws than the cap,
+    # fail at once with an error line that names the setting and the limit
+    @pytest.mark.parametrize("command", ["solve", "sweep", "beampattern", "verify"])
+    def test_antenna_count(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, {"scenario": {"num_antennas": int(HUGE_INTEGER)}})
+        rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: invalid scenario: num_antennas must be at most {2**63 - 1}\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("resolution", f"resolution must be at most {2**63 - 1} per axis"),
+            ("trials", "trials must be at most 1000000000"),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_verify_setting(self, tmp_path, capsys, monkeypatch, key, message, source):
+        # rejected before solving: a solve would raise AssertionError
+        monkeypatch.setattr(dfrc.verify, "solve_closed_form", _must_not_run)
+        settings = {"resolution": 129, "trials": 500}
+        flags = []
+        if source == "config":
+            settings[key] = int(HUGE_INTEGER)
+        else:
+            flags = [f"--{key}", HUGE_INTEGER]
+        path = write_config(tmp_path, {"verify": settings})
+        rc = main(["verify", "--config", str(path), *flags])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_trials_cap_is_inclusive(self, tmp_path, capsys, monkeypatch):
+        # 10^9 itself passes the check and reaches the solver
+        monkeypatch.setattr(dfrc.verify, "solve_closed_form", _must_not_run)
+        path = write_config(tmp_path, {"verify": {"resolution": 129, "trials": 10**9}})
+        with pytest.raises(AssertionError, match="solved"):
+            main(["verify", "--config", str(path)])
+
+
+def _must_not_run(*args):
+    raise AssertionError("solved")
 
 
 class TestUnknownConfigKeys:

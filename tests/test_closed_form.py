@@ -144,7 +144,6 @@ class TestSolveClosedForm:
         assert sol.coeff_a == pytest.approx(
             math.sqrt(sc.power_budget / sc.channel_norm_sq), rel=1e-14
         )
-        assert sol.eta is None and sol.beta is None
         np.testing.assert_allclose(
             sol.vector_c, sol.coeff_a * sc.channel, atol=1e-15
         )
@@ -153,9 +152,7 @@ class TestSolveClosedForm:
         sc = reference_scenario
         sol = solve_closed_form(sc, 5.0)
         assert sol.case is CaseTag.ACTIVE
-        # eta = sqrt((P*M - gamma) / (||h||^2 M - |g|^2)) = sqrt(5/98)
-        assert sol.eta == pytest.approx(math.sqrt(5.0 / 98.0), rel=1e-12)
-        assert sol.beta == pytest.approx(490.0, rel=1e-12)
+        # |a| = eta = sqrt((P*M - gamma) / (||h||^2 M - |g|^2)) = sqrt(5/98)
         assert abs(sol.coeff_a) == pytest.approx(math.sqrt(5.0 / 98.0), rel=1e-12)
         # |b| = sqrt(gamma)/M - |g| eta / M
         expect_b = math.sqrt(5.0) / 10.0 - math.sqrt(2.0) * math.sqrt(5.0 / 98.0) / 10.0
@@ -186,7 +183,7 @@ class TestSolveClosedForm:
             r = assemble_covariance(sol.vector_c)
             delivered = float(np.vdot(at, r @ at).real)
             assert delivered >= gamma * (1 - 1e-9)
-            if sol.case is CaseTag.ACTIVE and sol.eta is not None:
+            if sol.case is CaseTag.ACTIVE and sol.coeff_b != 0:
                 # active constraint binds exactly (algebraic identity)
                 assert delivered == pytest.approx(gamma, rel=1e-9)
                 seen_active += 1
@@ -227,7 +224,7 @@ class TestSolveClosedForm:
         sc = parallel_scenario
         for gamma in (0.0, 5.0, 9.999, 10.0):
             sol = solve_closed_form(sc, gamma)
-            assert sol.eta is None and sol.beta is None
+            assert sol.coeff_b == 0
             # matched beam: c = sqrt(P) h / ||h||
             np.testing.assert_allclose(
                 sol.vector_c,
@@ -317,7 +314,8 @@ class TestAssembleCovariance:
 def _frozen_solve(scenario, gamma):
     """The solver's scalar algebra as a standalone copy, discriminant formed twice.
 
-    Returns (a, b, eta, beta, received) for a feasible ``gamma``.
+    Returns (a, b, eta, received) for a feasible ``gamma``; eta is None for
+    the matched beam.
     """
     hh = scenario.channel_norm_sq
     aa = scenario.steering_norm_sq
@@ -331,18 +329,16 @@ def _frozen_solve(scenario, gamma):
         beta = max(power * aa - gamma, 0.0) * max(hh * aa - gabs * gabs, 0.0)
         root = math.sqrt(gamma) * gabs + math.sqrt(beta)
         received = root * root / (aa * aa)
-    eta = beta = None
     matched = tag is CaseTag.BELOW_THRESHOLD
     if not matched:
         denom = hh * aa - gabs * gabs
         matched = denom <= 1e-12 * hh * aa
     if matched:
-        return complex(math.sqrt(power / hh)), 0j, eta, beta, received
+        return complex(math.sqrt(power / hh)), 0j, None, received
     eta = math.sqrt(max(power * aa - gamma, 0.0) / denom)
-    beta = max(power * aa - gamma, 0.0) * denom
     b_mag = max(math.sqrt(gamma) / aa - gabs * eta / aa, 0.0)
     phase = cmath.phase(g) if g != 0 else 0.0
-    return eta * cmath.exp(1j * phase), complex(b_mag), eta, beta, received
+    return eta * cmath.exp(1j * phase), complex(b_mag), eta, received
 
 
 def _solve_corpus():
@@ -377,11 +373,11 @@ class TestDiscriminantFormedOnce:
         seen = set()
         for sc, gamma in _solve_corpus():
             sol = solve_closed_form(sc, gamma)
-            a, b, eta, beta, received = _frozen_solve(sc, gamma)
-            got = (sol.coeff_a, sol.coeff_b, sol.eta, sol.beta, sol.capacity_bits)
-            assert repr(got) == repr((a, b, eta, beta, math.log2(1.0 + received)))
+            a, b, eta, received = _frozen_solve(sc, gamma)
+            got = (sol.coeff_a, sol.coeff_b, sol.capacity_bits)
+            assert repr(got) == repr((a, b, math.log2(1.0 + received)))
             assert repr(optimal_received_power(sc, gamma)) == repr(received)
-            seen.add((sol.case, sol.eta is None))
+            seen.add((sol.case, eta is None))
         # slack, binding with a split beam, binding with the matched beam
         assert seen == {
             (CaseTag.BELOW_THRESHOLD, True), (CaseTag.ACTIVE, False), (CaseTag.ACTIVE, True)

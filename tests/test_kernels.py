@@ -181,9 +181,11 @@ def _scan_corpus():
             target = float(rng.uniform(-1.5, 1.5))
             h = scale * _channel(kind, geom, target, rng)
             sc = Scenario(geom, target, h, float(10.0 ** rng.uniform(-2.0, 2.0)))
-            # a threshold just past the top leaves even amp = 0 infeasible
+            # a threshold just past the top leaves even amp = 0 infeasible;
+            # the oracle raises there, so its parameters always mark it feasible
             for fraction in (0.0, float(rng.uniform(0.2, 0.8)), 1.0, 1.0 + 1e-9):
                 params = oracle._scan_params(sc, fraction * sc.max_target_power)
+                params["amp0_feasible"] = fraction <= 1.0
                 n_amp, n_phase = (int(n) for n in rng.integers(64, 701, size=2))
                 amp_max = math.sqrt(sc.power_budget / sc.channel_norm_sq)
                 amps = np.linspace(0.0, amp_max, n_amp)

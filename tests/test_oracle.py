@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dfrc import oracle
+from dfrc import kernels, oracle
 from dfrc import (
     ArrayGeometry,
     InfeasibleRadarRequirement,
@@ -21,15 +21,22 @@ from dfrc import (
 
 class TestGridSearchOracle:
     def test_reference_value_without_refinement(self, reference_scenario):
-        # 6.4 is exact for the reference scenario at threshold 5; a coarse
-        # scan gets within its cell-size error and never above
-        orc = grid_search_oracle(reference_scenario, 5.0, resolution=401, refine=False)
-        assert orc.objective <= 6.4 * (1 + 1e-12)
+        # 6.4 is exact for the reference scenario at threshold 5; the oracle's
+        # 401 x 401 scan, before refinement, gets within its cell-size error
+        # and never above
+        sc = reference_scenario
+        params = oracle._scan_params(sc, 5.0)
+        amps = np.linspace(0.0, math.sqrt(sc.power_budget / sc.channel_norm_sq), 401)
+        phases = np.linspace(0.0, 2.0 * math.pi, 401, endpoint=False)
+        best, _, _ = kernels.grid_scan(
+            amps, phases, params["cross_arg"], params["power"], params["gamma"],
+            params["ch_norm_sq"], params["st_norm_sq"], params["cross_abs"],
+            params["amp0_feasible"],
+        )
+        assert best <= 6.4 * (1 + 1e-12)
         # raw cell error is first order in the phase step near the binding
         # constraint; 401 steps leave a few tenths of a percent
-        assert orc.objective == pytest.approx(6.4, rel=5e-3)
-        assert not orc.refined
-        assert orc.grid_resolution == (401, 401)
+        assert best == pytest.approx(6.4, rel=5e-3)
 
     def test_refinement_reaches_tight_accuracy(self, reference_scenario):
         for gamma in (0.0, 0.1, 0.2, 5.0, 9.5, 10.0):
@@ -73,18 +80,29 @@ class TestGridSearchOracle:
         exact = optimal_received_power(sc, sc.max_target_power)
         assert orc.objective <= exact + 1e-9
         assert orc.objective == pytest.approx(exact, rel=1e-6)
+        # the amp = 0 row is feasible at every gamma the oracle accepts, the
+        # most it takes included, so even the coarsest scan finds a point: a
+        # finite objective no better than the optimum
+        cases = [(sc, sc.max_target_power * (1.0 + 1e-12))]
+        for sc, gamma, _ in _harsh_corpus():
+            cases += [(sc, gamma), (sc, sc.max_target_power * (1.0 + 1e-12))]
+        for sc, gamma in cases:
+            orc = grid_search_oracle(sc, gamma, resolution=64)
+            exact = optimal_received_power(sc, gamma)
+            assert math.isfinite(orc.objective), (sc, gamma)
+            assert orc.objective <= exact + 1e-9 * sc.power_budget * sc.channel_norm_sq
 
     def test_resolution_validation(self, reference_scenario):
         with pytest.raises(ValueError):
             grid_search_oracle(reference_scenario, 1.0, resolution=32)
         with pytest.raises(ValueError):
             grid_search_oracle(reference_scenario, -1.0)
+        # more points than numpy can index, named before any array is made
+        with pytest.raises(ValueError, match=f"^resolution must be at most {2**63 - 1} per axis$"):
+            grid_search_oracle(reference_scenario, 1.0, resolution=2**63)
 
-    def test_scalar_resolution_broadcast(self, reference_scenario):
-        orc = grid_search_oracle(
-            reference_scenario, 1.0, resolution=(65, 129), refine=False
-        )
-        assert orc.grid_resolution == (65, 129)
+    def test_scalar_resolution_broadcast(self, reference_scenario, monkeypatch):
+        assert _scanned_grid(monkeypatch, reference_scenario, 65) == (65, 65)
 
     @pytest.mark.parametrize(
         "resolution, want",
@@ -92,24 +110,28 @@ class TestGridSearchOracle:
             (129, (129, 129)),
             (np.int64(129), (129, 129)),
             (np.uint16(65), (65, 65)),
-            ((np.int32(65), 129), (65, 129)),
-            ([65, np.int64(129)], (65, 129)),
+            (np.int32(65), (65, 65)),
+            (np.uint64(129), (129, 129)),
         ],
     )
-    def test_integer_resolutions_accepted(self, reference_scenario, resolution, want):
-        orc = grid_search_oracle(reference_scenario, 1.0, resolution=resolution, refine=False)
-        assert orc.grid_resolution == want
-        assert all(type(n) is int for n in orc.grid_resolution)
+    def test_integer_resolutions_accepted(self, reference_scenario, monkeypatch, resolution, want):
+        got = _scanned_grid(monkeypatch, reference_scenario, resolution)
+        assert got == want
+        assert repr(grid_search_oracle(reference_scenario, 1.0, resolution=resolution)) == repr(
+            grid_search_oracle(reference_scenario, 1.0, resolution=want[0])
+        )
 
     @pytest.mark.parametrize(
         "resolution",
         [129.0, np.float64(129.0), True, "129", None, (129.5, 130), (129, 130.0),
-         (True, 129), (129,), (129, 129, 129)],
+         (True, 129), (129,), (129, 129, 129), (np.int32(65), 129), [65, np.int64(129)]],
     )
     def test_non_integer_resolutions_rejected(self, reference_scenario, resolution):
-        # a float used to raise TypeError, and (129.5, 130) ran a 129 x 130 grid
+        # a float used to raise TypeError, and (129.5, 130) ran a 129 x 130
+        # grid; a pair of integers is not an integer either
         with pytest.raises(ValueError, match="^resolution must be an integer"):
             grid_search_oracle(reference_scenario, 1.0, resolution=resolution)
+
 
     def test_refine_iters_removed(self, reference_scenario):
         # it was never validated: True ran one window, -3 none yet reported
@@ -119,18 +141,34 @@ class TestGridSearchOracle:
 
     @pytest.mark.parametrize("refine", ["no", 1, None])
     def test_non_bool_refine_rejected(self, reference_scenario, monkeypatch, refine):
-        # refine="no" used to run the refine and report refined=True
+        # the oracle always refines: refine= is gone, whatever its value
         monkeypatch.setattr(oracle.kernels, "grid_scan", None)
-        message = f"^refine must be a bool, got {re.escape(repr(refine))}$"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(TypeError, match="refine"):
             grid_search_oracle(reference_scenario, 1.0, resolution=129, refine=refine)
 
     @pytest.mark.parametrize("refine", [True, False])
-    def test_numpy_bool_refine(self, reference_scenario, refine):
-        want = grid_search_oracle(reference_scenario, 1.0, resolution=129, refine=refine)
-        got = grid_search_oracle(reference_scenario, 1.0, resolution=129, refine=np.bool_(refine))
-        assert repr(got) == repr(want)
-        assert got.refined is refine
+    def test_numpy_bool_refine(self, reference_scenario, monkeypatch, refine):
+        # the values it once accepted, Python and numpy bools, are gone too
+        monkeypatch.setattr(oracle.kernels, "grid_scan", None)
+        for value in (refine, np.bool_(refine)):
+            with pytest.raises(TypeError, match="refine"):
+                grid_search_oracle(reference_scenario, 1.0, resolution=129, refine=value)
+
+
+def _scanned_grid(monkeypatch, scenario, resolution):
+    """(amp points, phase points) of the grid the oracle scans at ``resolution``."""
+    shapes = []
+
+    def spy(amps, phases, *rest):
+        shapes.append((len(amps), len(phases)))
+        return scan(amps, phases, *rest)
+
+    scan = oracle.kernels.grid_scan
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle.kernels, "grid_scan", spy)
+        grid_search_oracle(scenario, 1.0, resolution=resolution)
+    (shape,) = shapes
+    return shape
 
 
 def _received(scenario, c):

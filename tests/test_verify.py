@@ -74,22 +74,54 @@ class TestRunVerification:
         assert report["passed"] is True
 
     @pytest.mark.parametrize(
-        "resolution", [129.0, np.int64(129) + 0.5, True, (129.5, 130), (129, True), [129]]
+        "resolution",
+        [129.0, np.int64(129) + 0.5, True, (129.5, 130), (129, True), [129],
+         (np.int32(65), 129), [129, 65]],
     )
     def test_non_integer_resolution_rejected_before_solving(self, quick, resolution):
-        # (129.5, 130) used to run a 129 x 130 grid and record [129, 130]
+        # (129.5, 130) used to run a 129 x 130 grid and record [129, 130];
+        # a pair of integers is not an integer either
         with mock.patch.object(verify, "solve_closed_form", side_effect=AssertionError):
             with pytest.raises(ValueError, match="^resolution must be an integer"):
                 quick(5.0, resolution=resolution)
 
     @pytest.mark.parametrize(
         "resolution, want",
-        [(np.int64(129), [129, 129]), ((np.int32(65), 129), [65, 129]), ([129, 65], [129, 65])],
+        [
+            (np.int64(129), {"resolution": 129, "trials": 500, "seed": 0, "perturb": 0.0}),
+            (np.int32(65), {"resolution": 65, "trials": 500, "seed": 0, "perturb": 0.0}),
+            (np.uint16(257), {"resolution": 257, "trials": 500, "seed": 0, "perturb": 0.0}),
+        ],
     )
     def test_integer_resolution_recorded(self, quick, resolution, want):
+        # the settings block holds the validated int, and nothing else is set
         report = quick(5.0, resolution=resolution, trials=500)
-        assert report["settings"]["resolution"] == want
+        assert report["settings"] == want
+        assert type(report["settings"]["resolution"]) is int
         assert report["passed"] is True
+
+    def test_default_resolution(self, reference_scenario):
+        report = run_verification(reference_scenario, 5.0, trials=500)
+        assert report["settings"]["resolution"] == 2001
+        assert report["oracle"] == run_verification(
+            reference_scenario, 5.0, resolution=2001, trials=500
+        )["oracle"]
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("resolution", 63, "resolution must be at least 64 per axis"),
+            ("resolution", 2**63, f"resolution must be at most {2**63 - 1} per axis"),
+            ("trials", 0, "trials must be positive, got 0"),
+            ("trials", 10**9 + 1, "trials must be at most 1000000000"),
+            ("trials", 10**400, "trials must be at most 1000000000"),
+        ],
+        ids=["resolution-low", "resolution-high", "trials-low", "trials-high", "trials-huge"],
+    )
+    def test_out_of_range_setting_rejected_before_solving(self, quick, key, value, message):
+        with mock.patch.object(verify, "solve_closed_form", side_effect=AssertionError):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                quick(5.0, **{key: value})
 
     @pytest.mark.parametrize(
         "perturb", [True, False, np.True_, -1e-3, -math.inf, math.inf, math.nan, "0.001", 1j]
@@ -103,17 +135,10 @@ class TestRunVerification:
 
     @pytest.mark.parametrize("refine", ["no", 1, None])
     def test_non_bool_refine_rejected_before_solving(self, quick, refine):
-        # refine="no" used to run the refine and record "refine": true
-        message = f"^refine must be a bool, got {re.escape(repr(refine))}$"
+        # the oracle always refines: refine= is gone, whatever its value
         with mock.patch.object(verify, "solve_closed_form", side_effect=AssertionError):
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(TypeError, match="refine"):
                 quick(5.0, refine=refine)
-
-    def test_numpy_bool_refine_recorded_as_bool(self, quick):
-        want = quick(5.0, trials=500, refine=False)
-        got = quick(5.0, trials=500, refine=np.False_)
-        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
-        assert got["settings"]["refine"] is False
 
     def test_perturb_values_kept(self, quick):
         assert quick(5.0, trials=500, perturb=0.0) == quick(5.0, trials=500)
