@@ -12,8 +12,6 @@ from .closed_form import (
     BeamformerSolution,
     CaseTag,
     assemble_covariance,
-    capacity_closed_form,
-    classify_case,
     optimal_received_power,
     solve_closed_form,
 )
@@ -61,8 +59,6 @@ __all__ = [
     "assemble_covariance",
     "beam_pattern",
     "beampattern_sweep",
-    "capacity_closed_form",
-    "classify_case",
     "default_angle_grid",
     "default_loss_grid_db",
     "grid_search_oracle",

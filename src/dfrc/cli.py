@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .closed_form import solve_closed_form
+from .closed_form import beam_powers, solve_closed_form
 from .model import (
     ArrayGeometry,
     InfeasibleRadarRequirement,
@@ -50,7 +50,8 @@ class ConfigError(ValueError):
 # The config schema: section -> key -> (kind, default, required). A key left
 # out or null takes its default; a required key has none. A command reads a
 # key only when it uses it: only the given one of the radar keys, and the
-# user angle only when no channel is given.
+# user angle only when no channel is given. An integer is passed on as it is:
+# the library checks it, and every value's range, where it enters.
 _SCHEMA = {
     "scenario": {
         "num_antennas": ("integer", None, True),
@@ -158,8 +159,6 @@ def _value(config: dict, section: str, key: str):
         return default
     if kind == "number":
         return _float(value, name)
-    if kind == "integer" and (not isinstance(value, int) or isinstance(value, bool)):
-        raise ConfigError(f"'{name}' must be an integer, got {value!r}")
     if kind == "path" and not isinstance(value, str):
         raise ConfigError(f"'{name}' must be a path, got {value!r}")
     if kind == "numbers":
@@ -189,28 +188,23 @@ def build_scenario(config: dict, user_angle_deg=None) -> Scenario:
     power = _value(config, "scenario", "power")
     amplitude = _value(config, "scenario", "target_amplitude")
     sc = _section(config, "scenario")
-    try:
-        geometry = ArrayGeometry(m, spacing)
-        if user_angle_deg is None and "channel" in sc:
-            if "user_angle_deg" in sc:
-                raise ConfigError(
-                    "give either 'scenario.user_angle_deg' or 'scenario.channel', not both"
-                )
-            channel = _value(config, "scenario", "channel")
-            return Scenario(geometry, math.radians(target_deg), channel, power, amplitude)
-        if user_angle_deg is None:
-            user_angle_deg = _value(config, "scenario", "user_angle_deg")
-        return Scenario.with_los_user(
-            geometry,
-            math.radians(target_deg),
-            math.radians(user_angle_deg),
-            power,
-            amplitude,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"invalid scenario: {exc}") from exc
+    geometry = ArrayGeometry(m, spacing)
+    if user_angle_deg is None and "channel" in sc:
+        if "user_angle_deg" in sc:
+            raise ConfigError(
+                "give either 'scenario.user_angle_deg' or 'scenario.channel', not both"
+            )
+        channel = _value(config, "scenario", "channel")
+        return Scenario(geometry, math.radians(target_deg), channel, power, amplitude)
+    if user_angle_deg is None:
+        user_angle_deg = _value(config, "scenario", "user_angle_deg")
+    return Scenario.with_los_user(
+        geometry,
+        math.radians(target_deg),
+        math.radians(user_angle_deg),
+        power,
+        amplitude,
+    )
 
 
 def resolve_gamma(config: dict, scenario: Scenario) -> float:
@@ -223,10 +217,7 @@ def resolve_gamma(config: dict, scenario: Scenario) -> float:
         )
     value = _value(config, "radar", keys[0])
     field = {"snr0": "snr_threshold"}.get(keys[0], keys[0])
-    try:
-        return resolve_radar_spec(RadarSnrSpec(**{field: value}), scenario).gamma
-    except ValueError as exc:
-        raise ConfigError(f"invalid radar requirement: {exc}") from exc
+    return resolve_radar_spec(RadarSnrSpec(**{field: value}), scenario).gamma
 
 
 def _loss_grid(config: dict) -> np.ndarray:
@@ -243,10 +234,7 @@ def _loss_grid(config: dict) -> np.ndarray:
         if count < 1 or abs(count * step - (stop - start)) > 1e-9:
             raise ConfigError("loss grid bounds must differ by a whole number of steps")
         values = np.linspace(start, stop, count + 1)
-    try:
-        return _check_loss_grid(values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid loss grid: {exc}") from exc
+    return _check_loss_grid(values)
 
 
 def _out_dir(config: dict, args) -> Path:
@@ -285,9 +273,7 @@ def cmd_solve(args) -> int:
     spec = resolve_radar_spec(RadarSnrSpec(gamma=gamma), scenario)
     # every printed number is a scalar function of the beam c; c c^H is
     # never formed
-    c = solution.vector_c
-    ac = np.vdot(scenario.target_steering, c)
-    target_power = float(ac.real * ac.real + ac.imag * ac.imag)
+    trace, target_power, _ = beam_powers(scenario, solution.vector_c)
     achieved = resolve_radar_spec(RadarSnrSpec(gamma=target_power), scenario)
     lines = [
         f"case: {solution.case.value}",
@@ -297,7 +283,7 @@ def cmd_solve(args) -> int:
         f"coeff_b: {solution.coeff_b.real:.17g}{solution.coeff_b.imag:+.17g}j",
         f"capacity_bits: {solution.capacity_bits:.17g}",
         f"radar_snr: {achieved.snr_threshold:.17g}",
-        f"trace: {float(np.sum(c * c.conj()).real):.17g}",
+        f"trace: {trace:.17g}",
     ]
     _emit_text("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -324,10 +310,7 @@ def cmd_beampattern(args) -> int:
     scenario = build_scenario(config)
     losses = _value(config, "sweep", "beampattern_losses_db")
     out_dir = _out_dir(config, args)
-    try:
-        patterns = beampattern_sweep(scenario, losses)
-    except ValueError as exc:
-        raise ConfigError(f"invalid beampattern losses: {exc}") from exc
+    patterns = beampattern_sweep(scenario, losses)
     path = write_beampattern_csv(patterns, out_dir / "beampattern.csv")
     print(f"wrote {path}")
     return EXIT_OK
@@ -382,8 +365,9 @@ def main(argv=None) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (ValueError, MemoryError) as exc:
-        # a ConfigError, an input the library itself rejects (such as the
-        # oracle's grid size or the falsifier's trial count), or an array
-        # numpy cannot allocate (such as the steering vector of a huge array)
+        # a ConfigError, an input the library itself rejects (each with the
+        # library's own message, such as the oracle's grid size or the
+        # falsifier's trial count), or an array numpy cannot allocate (named
+        # after the setting that sized it)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

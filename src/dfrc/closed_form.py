@@ -8,10 +8,11 @@ scalars ||h||^2, ||a_t||^2 and h^H a_t.
 
 :func:`solve_closed_form` returns a :class:`BeamformerSolution`: the regime,
 the weights on h and a_t, the beam c itself and the capacity. Everything
-else is a scalar function of c, so no M x M matrix is formed;
-:func:`assemble_covariance` builds c c^H for a caller that wants it.
+else is a scalar function of c (:func:`beam_powers` forms its powers), so
+no M x M matrix is formed; :func:`assemble_covariance` builds c c^H for a
+caller that wants it.
 
-The scalars that depend only on the scenario (the two case bounds, P M,
+The scalars that depend only on the scenario (the case bound, P M,
 M^2, the clamped ||h||^2 M - |h^H a_t|^2, P ||h||^2 and its capacity, the
 matched weight and the phase of h^H a_t) are formed once per scenario and
 kept on it. The single calls here and the sweeps read them, so the case
@@ -26,20 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InfeasibleRadarRequirement, Scenario
+from .model import BOUNDARY_RTOL, Scenario, _threshold
 
 __all__ = [
     "BeamformerSolution",
     "CaseTag",
     "assemble_covariance",
-    "capacity_closed_form",
-    "classify_case",
+    "beam_powers",
     "optimal_received_power",
     "solve_closed_form",
 ]
-
-# relative tolerance for the case-boundary and collinearity tests
-BOUNDARY_RTOL = 1e-12
 
 
 class CaseTag(enum.Enum):
@@ -47,12 +44,11 @@ class CaseTag(enum.Enum):
 
     BELOW_THRESHOLD = "below_threshold"  # matched beam already satisfies it
     ACTIVE = "active"  # binds: power is split between the two directions
-    INFEASIBLE = "infeasible"  # beyond the power budget
 
 
 # the members under module names: on Python 3.11 each CaseTag.<member>
 # lookup costs about 0.1 us, and each tradeoff point made several
-_BELOW, _ACTIVE, _INFEASIBLE = CaseTag.BELOW_THRESHOLD, CaseTag.ACTIVE, CaseTag.INFEASIBLE
+_BELOW, _ACTIVE = CaseTag.BELOW_THRESHOLD, CaseTag.ACTIVE
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,7 @@ class _Constants:
     """
 
     __slots__ = (
-        "aa", "gabs", "gamma_max", "free_bound", "max_bound", "aa_sq", "denom",
+        "aa", "gabs", "gamma_max", "free_bound", "aa_sq", "denom",
         "free_received", "free_capacity", "collinear", "matched", "rotation",
     )
 
@@ -100,9 +96,10 @@ class _Constants:
         self.aa = aa  # ||a_t||^2 = M
         self.gabs = gabs  # |h^H a_t|
         self.gamma_max = scenario.max_target_power  # P M
-        # the case bounds: BELOW_THRESHOLD under the first, INFEASIBLE over the second
+        # the case bound: BELOW_THRESHOLD under it; a threshold on the
+        # boundary, within BOUNDARY_RTOL, is ACTIVE, where the constrained
+        # formulas reduce continuously to the neighbours
         self.free_bound = scenario.free_target_power * (1.0 - BOUNDARY_RTOL)
-        self.max_bound = self.gamma_max * (1.0 + BOUNDARY_RTOL)
         self.aa_sq = aa * aa
         # ||h||^2 M - |h^H a_t|^2, clamped at zero to absorb float dust at
         # collinearity
@@ -131,29 +128,6 @@ def _constants(scenario: Scenario) -> _Constants:
     return k
 
 
-def _classify(k: _Constants, gamma) -> CaseTag:
-    gamma = float(gamma)
-    if not gamma >= 0.0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma!r}")
-    if gamma > k.max_bound:
-        return _INFEASIBLE
-    if gamma < k.free_bound:
-        return _BELOW
-    return _ACTIVE
-
-
-def classify_case(scenario: Scenario, gamma: float) -> CaseTag:
-    """Which regime a target-power threshold ``gamma`` falls in.
-
-    Boundary points (within 1e-12 relative) are assigned to ACTIVE, where
-    the constrained formulas reduce continuously to the neighbours. A
-    ``gamma`` up to 1e-12 relative above the feasible maximum P M is ACTIVE
-    too; P M is formed from the float M, not from the float steering
-    vector's exact ||a_t||^2, which may differ from it by a few ulps.
-    """
-    return _classify(_constants(scenario), gamma)
-
-
 def assemble_covariance(vector_c: np.ndarray) -> np.ndarray:
     """Rank-one covariance c c^H of a beamforming vector."""
     c = np.asarray(vector_c, dtype=np.complex128)
@@ -164,27 +138,25 @@ def assemble_covariance(vector_c: np.ndarray) -> np.ndarray:
     return r
 
 
-def _optimum(k: _Constants, gamma):
+def _optimum(k: _Constants, gamma: float):
     """(case, optimal h^H R h, capacity in bits, slack) at ``gamma``.
 
-    The slack P M - gamma is None below the threshold; otherwise it and
-    ``k.denom`` = ||h||^2 M - |h^H a_t|^2, whose product beta is the
+    ``gamma`` is a float on the feasible range, checked where it entered
+    the library (``model._threshold``) or, in a sweep, made from a checked
+    loss. The slack P M - gamma is None below the threshold; otherwise it
+    and ``k.denom`` = ||h||^2 M - |h^H a_t|^2, whose product beta is the
     discriminant, are each clamped at zero to absorb float dust at the upper
-    boundary and at collinearity. Raises InfeasibleRadarRequirement above
-    the feasible maximum.
+    boundary and at collinearity.
     """
-    tag = _classify(k, gamma)
-    if tag is _INFEASIBLE:
-        raise InfeasibleRadarRequirement(gamma, k.gamma_max)
-    if tag is _BELOW:
-        return tag, k.free_received, k.free_capacity, None
+    if gamma < k.free_bound:
+        return _BELOW, k.free_received, k.free_capacity, None
     slack = k.gamma_max - gamma
     if slack < 0.0:  # max(slack, 0.0), without a builtin call per point
         slack = 0.0
     beta = slack * k.denom
     root = math.sqrt(gamma) * k.gabs + math.sqrt(beta)
     received = root * root / k.aa_sq
-    return tag, received, math.log2(1.0 + received), slack
+    return _ACTIVE, received, math.log2(1.0 + received), slack
 
 
 def _beam(k: _Constants, gamma):
@@ -206,14 +178,10 @@ def _beam(k: _Constants, gamma):
 def optimal_received_power(scenario: Scenario, gamma: float) -> float:
     """Optimal value of h^H R h at threshold ``gamma`` (capacity = log2(1+this)).
 
-    Raises InfeasibleRadarRequirement when gamma exceeds the feasible maximum.
+    Raises ValueError when gamma is negative, and InfeasibleRadarRequirement
+    when it exceeds the feasible maximum P M by more than 1e-12 relative.
     """
-    return _optimum(_constants(scenario), gamma)[1]
-
-
-def capacity_closed_form(scenario: Scenario, gamma: float) -> float:
-    """Maximum spectral efficiency in bits at target-power threshold ``gamma``."""
-    return _optimum(_constants(scenario), gamma)[2]
+    return _optimum(_constants(scenario), _threshold(scenario, gamma))[1]
 
 
 def solve_closed_form(scenario: Scenario, gamma: float) -> BeamformerSolution:
@@ -223,9 +191,21 @@ def solve_closed_form(scenario: Scenario, gamma: float) -> BeamformerSolution:
     threshold exactly when the constraint binds. Phases are pinned: coeff_b
     is real nonnegative and coeff_a carries the phase of h^H a_t (zero when
     that inner product is exactly zero), making the output deterministic.
-    Only the vector c is formed, never the M x M covariance c c^H.
+    Only the vector c is formed, never the M x M covariance c c^H. Raises
+    as :func:`optimal_received_power` does.
     """
-    tag, capacity, a, b = _beam(_constants(scenario), gamma)
+    tag, capacity, a, b = _beam(_constants(scenario), _threshold(scenario, gamma))
     c = a * scenario.channel + b * scenario.target_steering
     c.setflags(write=False)
     return BeamformerSolution(case=tag, coeff_a=a, coeff_b=b, vector_c=c, capacity_bits=capacity)
+
+
+def beam_powers(scenario: Scenario, c: np.ndarray) -> tuple[float, float, float]:
+    """(||c||^2, |a_t^H c|^2, |h^H c|^2): the beam's power, target and received powers."""
+    at_c = np.vdot(scenario.target_steering, c)
+    h_c = np.vdot(scenario.channel, c)
+    return (
+        float(np.sum(c * c.conj()).real),
+        float(at_c.real * at_c.real + at_c.imag * at_c.imag),
+        float(h_c.real * h_c.real + h_c.imag * h_c.imag),
+    )

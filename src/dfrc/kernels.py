@@ -21,9 +21,10 @@ The 2-D search coordinates are (amp, phase): the candidate beam is
 c = amp * exp(1j*phase) * h + t * a_t with t >= 0 real, and t is eliminated
 by solving ||c||^2 = power exactly, so every scanned point sits on the power
 budget. Feasibility against the target-power threshold is checked strictly
-in floats; the amp = 0 column (pure steering beam, where the threshold can
-only be met at the very top of its range) is anchored analytically via the
-``amp0_feasible`` flag to keep float dust from flipping it.
+in floats, except in the amp = 0 column: the pure steering beam puts P M on
+the target, the most any beam can, and every caller rejects a threshold
+above P M (1 + 1e-12) first, so that column is anchored as feasible rather
+than left to float dust.
 
 ``eval_candidates`` is the one evaluator: the grid scan calls it on blocks
 of whole rows and the oracle's refinement on small square windows
@@ -138,14 +139,13 @@ def eval_candidates(
     ch_norm_sq: float,
     st_norm_sq: float,
     cross_abs: float,
-    amp0_feasible: bool,
 ):
     """Objective and steering weight at broadcastable (amp, psi) coordinates.
 
     ``psi`` is the candidate phase minus the phase of h^H a_t (the steering
     weight t is pinned real nonnegative). Returns (objective, t), both of
     the broadcast shape, with the objective set to -inf wherever the point
-    is infeasible.
+    is infeasible; amp = 0 is always feasible (see the module doc).
     """
     amp = np.asarray(amp, dtype=np.float64)
     cos_psi = np.asarray(cos_psi, dtype=np.float64)
@@ -171,7 +171,7 @@ def eval_candidates(
     radar += side
     feasible &= radar >= gamma
     if not amp.all():  # some amp == 0
-        np.copyto(feasible, amp0_feasible, where=amp == 0.0)
+        np.copyto(feasible, True, where=amp == 0.0)
     t_cross = np.multiply(t, cross_abs, out=side)
     obj = np.multiply(t_cross, cos_psi, out=radar)
     obj += amp * ch_norm_sq
@@ -283,7 +283,7 @@ def grid_scan(
     ch_norm_sq: float,
     st_norm_sq: float,
     cross_abs: float,
-    amp0_feasible: bool,
+    amp0_feasible: bool = True,
 ):
     """Best feasible grid point; returns (objective, amp index, phase index).
 
@@ -294,8 +294,11 @@ def grid_scan(
     then only the sure rows whose ceiling is not below the best value so
     far. Each set is evaluated in blocks of whole amp rows, of about
     ``_GRID_BLOCK_POINTS`` points each. The first maximum in row-major order
-    wins.
+    wins. The amp = 0 row is always feasible; ``amp0_feasible``, once its
+    switch, is accepted only as True, as ``perfbench/run.py`` still passes it.
     """
+    if amp0_feasible is not True:
+        raise ValueError("the amp = 0 row is always feasible; amp0_feasible must be True")
     psi = phases - cross_arg
     cos_psi = np.cos(psi)[None, :]
     sin_psi = np.sin(psi)[None, :]
@@ -324,7 +327,6 @@ def grid_scan(
                     ch_norm_sq,
                     st_norm_sq,
                     cross_abs,
-                    amp0_feasible,
                 )
             k = int(np.argmax(obj))
             val = float(obj.flat[k])

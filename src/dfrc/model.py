@@ -25,6 +25,11 @@ __all__ = [
 _HALF_PI = math.pi / 2.0
 # the most elements numpy can index along one axis
 MAX_COUNT = int(np.iinfo(np.intp).max)
+# relative tolerance for the closed form's case-boundary and collinearity
+# tests, and for the top of the feasible range: P M is formed from the float
+# M, not from the float steering vector's exact ||a_t||^2, which may differ
+# from it by a few ulps
+BOUNDARY_RTOL = 1e-12
 
 
 class InfeasibleRadarRequirement(ValueError):
@@ -46,14 +51,37 @@ def _check_angle(angle: float, label: str) -> float:
     return angle
 
 
-def _integer(value, label: str) -> int:
-    """``value`` as an int: Python and numpy integers only, never a bool."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{label} must be an integer, got {value!r}")
+def _integer(value, label: str, low, high) -> int:
+    """``value`` as an int in [``low``, ``high``]: Python and numpy integers only, never a bool."""
+    try:
+        n = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None:
+        raise ValueError(f"{label} must be an integer, got {value!r}")
+    if n < low:
+        raise ValueError(f"{label} must be at least {low}, got {n!r}")
+    if n > high:
+        raise ValueError(f"{label} must be at most {high}")
+    return n
+
+
+def _nonnegative(value, label: str) -> float:
+    value = float(value)
+    if not value >= 0.0:
+        raise ValueError(f"{label} must be nonnegative, got {value!r}")
+    return value
+
+
+def _threshold(scenario: "Scenario", gamma) -> float:
+    """``gamma`` as a float in [0, P M (1 + ``BOUNDARY_RTOL``)], checked once.
+
+    Made where a threshold enters the library; the sweeps' per-point functions take it as given.
+    """
+    gamma = _nonnegative(gamma, "gamma")
+    if gamma > scenario.max_target_power * (1.0 + BOUNDARY_RTOL):
+        raise InfeasibleRadarRequirement(gamma, scenario.max_target_power)
+    return gamma
 
 
 def _positive_finite(value, label: str) -> float:
@@ -71,12 +99,8 @@ class ArrayGeometry:
     spacing_over_wavelength: float
 
     def __post_init__(self):
-        n = self.num_antennas
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"num_antennas must be a positive integer, got {n!r}")
-        if n > MAX_COUNT:
-            raise ValueError(f"num_antennas must be at most {MAX_COUNT}")
-        object.__setattr__(self, "num_antennas", int(n))
+        n = _integer(self.num_antennas, "num_antennas", 1, MAX_COUNT)
+        object.__setattr__(self, "num_antennas", n)
         d = _positive_finite(self.spacing_over_wavelength, "spacing_over_wavelength")
         object.__setattr__(self, "spacing_over_wavelength", d)
 
@@ -88,8 +112,12 @@ def steering_vector(geometry: ArrayGeometry, angle: float) -> np.ndarray:
     squared norm equals the element count.
     """
     angle = _check_angle(angle, "angle")
-    m = np.arange(geometry.num_antennas)
-    v = np.exp(-2j * math.pi * geometry.spacing_over_wavelength * math.sin(angle) * m)
+    n = geometry.num_antennas
+    try:
+        m = np.arange(n)
+        v = np.exp(-2j * math.pi * geometry.spacing_over_wavelength * math.sin(angle) * m)
+    except MemoryError as exc:  # numpy's message names neither the setting nor its value
+        raise MemoryError(f"num_antennas {n} is too large: {exc}") from exc
     v.setflags(write=False)
     return v
 
@@ -264,17 +292,13 @@ def resolve_radar_spec(spec: RadarSnrSpec, scenario: Scenario) -> RadarSnrSpec:
     snr_max = gain * gamma_cap
 
     if spec.gamma is not None:
-        gamma = float(spec.gamma)
-        if not gamma >= 0.0:
-            raise ValueError(f"gamma must be nonnegative, got {gamma!r}")
+        gamma = _nonnegative(spec.gamma, "gamma")
         snr0 = gain * gamma
         loss = -math.inf if gamma == 0.0 else 10.0 * math.log10(gamma / gamma_cap)
         return RadarSnrSpec(snr_threshold=snr0, snr_loss_db=loss, gamma=gamma)
 
     if spec.snr_threshold is not None:
-        snr0 = float(spec.snr_threshold)
-        if not snr0 >= 0.0:
-            raise ValueError(f"snr_threshold must be nonnegative, got {snr0!r}")
+        snr0 = _nonnegative(spec.snr_threshold, "snr_threshold")
         gamma = snr0 / gain
         loss = -math.inf if snr0 == 0.0 else 10.0 * math.log10(snr0 / snr_max)
         return RadarSnrSpec(snr_threshold=snr0, snr_loss_db=loss, gamma=gamma)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .closed_form import BeamformerSolution
-from .model import MAX_COUNT, InfeasibleRadarRequirement, Scenario, _integer
+from .model import MAX_COUNT, Scenario, _integer, _threshold
 
 __all__ = [
     "FalsifierResult",
@@ -34,7 +34,7 @@ __all__ = [
 
 DEFAULT_RESOLUTION = 2001
 DEFAULT_REFINE_ITERS = 40
-_MIN_RESOLUTION = 64
+MIN_RESOLUTION = 64
 # about 100 s of draws at 0.1 s per million
 MAX_TRIALS = 10**9
 # refinement window is _WINDOW x _WINDOW points; where the objective is
@@ -98,11 +98,6 @@ def _scan_params(scenario: Scenario, gamma: float):
         "st_norm_sq": scenario.steering_norm_sq,
         "cross_abs": abs(g),
         "cross_arg": float(np.angle(g)) if g != 0 else 0.0,
-        # the amp = 0 candidate, the pure steering beam, puts P M on the
-        # target, and grid_search_oracle rejects every gamma above P M
-        # (1 + 1e-12) first: it is feasible (anchored, not left to float
-        # dust), so the scan's amps[0] = 0.0 row always has a finite value
-        "amp0_feasible": True,
     }
 
 
@@ -117,7 +112,6 @@ def _eval_window(amps, phases, params):
         params["ch_norm_sq"],
         params["st_norm_sq"],
         params["cross_abs"],
-        params["amp0_feasible"],
     )
 
 
@@ -181,26 +175,6 @@ def _refine(amp0, phase0, step_amp, step_phase, amp_max, params, iters):
     return best_obj, best_amp, best_phase, best_t
 
 
-def _resolution(resolution) -> int:
-    """``resolution``, the points per axis, as an int: a Python or numpy integer."""
-    n = _integer(resolution, "resolution")
-    if n < _MIN_RESOLUTION:
-        raise ValueError(f"resolution must be at least {_MIN_RESOLUTION} per axis")
-    if n > MAX_COUNT:
-        raise ValueError(f"resolution must be at most {MAX_COUNT} per axis")
-    return n
-
-
-def _trials(trials) -> int:
-    """``trials`` as an int in [1, ``MAX_TRIALS``]: a Python or numpy integer."""
-    trials = _integer(trials, "trials")
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials!r}")
-    if trials > MAX_TRIALS:
-        raise ValueError(f"trials must be at most {MAX_TRIALS}")
-    return trials
-
-
 def grid_search_oracle(
     scenario: Scenario, gamma: float, resolution=DEFAULT_RESOLUTION
 ) -> OracleSolution:
@@ -242,20 +216,21 @@ def grid_search_oracle(
     objective by at most ~1e-15 relative (the tests bound it by 2^-40).
     ``resolution`` is the points per axis, one Python or numpy integer for
     both, from 64 to the most numpy can index; anything else, a float or a
-    bool included, raises ValueError.
+    bool included, raises ValueError, and so does a negative ``gamma``; a
+    ``gamma`` above the feasible maximum raises InfeasibleRadarRequirement.
+    Every ``gamma`` accepted leaves the amp = 0 row, the pure steering beam
+    that puts P M on the target, feasible, so the scan always finds a point.
     """
-    gamma = float(gamma)
-    if not gamma >= 0.0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma!r}")
-    gamma_max = scenario.max_target_power
-    if gamma > gamma_max * (1.0 + 1e-12):
-        raise InfeasibleRadarRequirement(gamma, gamma_max)
-    n = _resolution(resolution)
+    gamma = _threshold(scenario, gamma)
+    n = _integer(resolution, "resolution", MIN_RESOLUTION, MAX_COUNT)
 
     params = _scan_params(scenario, gamma)
     amp_max = math.sqrt(scenario.power_budget / scenario.channel_norm_sq)
-    amps = np.linspace(0.0, amp_max, n)
-    phases = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    try:
+        amps = np.linspace(0.0, amp_max, n)
+        phases = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    except MemoryError as exc:  # numpy's message names neither the setting nor its value
+        raise MemoryError(f"resolution {n} is too large: {exc}") from exc
 
     best, bi, bj = kernels.grid_scan(
         amps,
@@ -266,7 +241,6 @@ def grid_search_oracle(
         params["ch_norm_sq"],
         params["st_norm_sq"],
         params["cross_abs"],
-        params["amp0_feasible"],
     )
     best, best_amp, best_phase, best_t = _refine(
         float(amps[bi]),
@@ -312,9 +286,10 @@ def kkt_check(
     wrong witness can only raise D: a correct beam would then fail
     ``dual_gap``, a visible false alarm, and a wrong beam can never pass.
     ||h||^2 and |h^H a_t| are formed from the vectors; ||a_t||^2 is the
-    scenario's M, so the top of the range is where ``classify_case`` puts it.
+    scenario's M, so the top of the range is where ``model._threshold`` puts it.
     ``solution`` is only checked for shape: the certificate depends on the
     problem, and the caller compares the candidate's |h^H c|^2 with it.
+    ``gamma`` is checked as :func:`grid_search_oracle` checks it.
     """
     h = scenario.channel
     c_shape = np.shape(solution.vector_c)
@@ -325,7 +300,7 @@ def kkt_check(
     cross = abs(complex(np.vdot(h, scenario.target_steering)))
     rho = (cross / (math.sqrt(hh) * math.sqrt(aa))) ** 2
     top = scenario.power_budget * aa
-    gamma = float(gamma)
+    gamma = _threshold(scenario, gamma)
     g, w = gamma / top, (top - gamma) / top
     if g <= rho:
         x, d = 0.0, 1.0
@@ -353,14 +328,13 @@ def random_falsifier(
     does not depend on the array size. Deterministic in ``seed``.
     ``trials`` and ``seed`` must be Python or numpy integers: a float or a
     bool raises ValueError instead of being truncated, and so does a
-    ``trials`` above ``MAX_TRIALS`` (10^9), before any draw.
+    ``trials`` outside [1, ``MAX_TRIALS``] (10^9), before any draw.
+    ``gamma`` is checked as :func:`grid_search_oracle` checks it.
     """
-    gamma = float(gamma)
-    if not gamma >= 0.0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma!r}")
-    trials = _trials(trials)
+    gamma = _threshold(scenario, gamma)
+    trials = _integer(trials, "trials", 1, MAX_TRIALS)
     best, best_trial, feasible = kernels.falsifier_scan(
-        _integer(seed, "seed"),
+        _integer(seed, "seed", -math.inf, math.inf),
         trials,
         scenario.channel,
         scenario.target_steering,

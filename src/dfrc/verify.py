@@ -15,10 +15,11 @@ import numbers
 
 import numpy as np
 
-from .closed_form import optimal_received_power, solve_closed_form
-from .model import Scenario, _integer
+from .closed_form import beam_powers, optimal_received_power, solve_closed_form
+from .model import MAX_COUNT, Scenario, _integer
 from .oracle import (
-    DEFAULT_RESOLUTION, _resolution, _trials, grid_search_oracle, kkt_check, random_falsifier,
+    DEFAULT_RESOLUTION, MAX_TRIALS, MIN_RESOLUTION, grid_search_oracle, kkt_check,
+    random_falsifier,
 )
 
 __all__ = ["run_verification"]
@@ -73,8 +74,9 @@ def run_verification(
     a Python or numpy real number (a bool is not one), or is negative or not
     finite.
     """
-    trials, seed = _trials(trials), _integer(seed, "seed")
-    resolution = _resolution(resolution)
+    trials = _integer(trials, "trials", 1, MAX_TRIALS)
+    seed = _integer(seed, "seed", -math.inf, math.inf)
+    resolution = _integer(resolution, "resolution", MIN_RESOLUTION, MAX_COUNT)
     # numpy registers its floats and integers as numbers.Real; bool is one too
     if not isinstance(perturb, numbers.Real) or isinstance(perturb, bool):
         raise ValueError(f"perturb must be a real number, got {perturb!r}")
@@ -92,12 +94,7 @@ def run_verification(
     falsifier = random_falsifier(scenario, gamma, trials=trials, seed=seed)
 
     gap_rel = _relative_gap(oracle.objective, reference_obj, scenario)
-    c = solution.vector_c
-    trace = float(np.sum(c * c.conj()).real)
-    ac = np.vdot(scenario.target_steering, c)
-    hc = np.vdot(scenario.channel, c)
-    target_power = float(ac.real * ac.real + ac.imag * ac.imag)
-    solution_obj = float(hc.real * hc.real + hc.imag * hc.imag)
+    trace, target_power, solution_obj = beam_powers(scenario, solution.vector_c)
 
     power = scenario.power_budget
     # every objective bound is in units of power * ||h||^2

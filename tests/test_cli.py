@@ -70,6 +70,27 @@ def write_config(tmp_path, overrides=None, name="config.yaml"):
     return path
 
 
+def write_channel_config(tmp_path, channel, **scenario):
+    """The reference config with an explicit channel in place of the user angle."""
+    cfg = json.loads(json.dumps(REFERENCE))
+    del cfg["scenario"]["user_angle_deg"]
+    cfg["scenario"].update(num_antennas=len(channel), channel=channel, **scenario)
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return path
+
+
+COMMANDS = ("solve", "sweep", "beampattern", "verify")
+
+
+def assert_error_line(tmp_path, capsys, path, message, commands=COMMANDS):
+    """Each command exits 1 with ``error: message`` as its one stderr line, printing nothing."""
+    for command in commands:
+        rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert (rc, captured.err, captured.out) == (EXIT_USAGE, f"error: {message}\n", ""), command
+
+
 class TestConfigHandling:
     def test_load_and_build(self, tmp_path):
         path = write_config(tmp_path)
@@ -181,63 +202,75 @@ class TestSolveCommand:
         ],
     )
     def test_non_finite_scenario_value_is_named(self, tmp_path, capsys, key, field):
+        # every command prints the library's own message as its error line
         path = write_config(tmp_path, {"scenario": {key: math.inf}})
-        rc = main(["solve", "--config", str(path)])
-        assert rc == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error: invalid scenario") and field in err
+        assert_error_line(tmp_path, capsys, path, f"{field} must be positive and finite, got inf")
 
     @pytest.mark.parametrize(
-        "entry, message", [(1e200, "overflows float64"), (1e-170, "underflows")]
+        "entry, message",
+        [
+            pytest.param(
+                1e200,
+                "channel norm overflows float64 (squared norm is not finite); rescale the channel",
+                id="1e+200-overflows float64",
+            ),
+            pytest.param(
+                1e-170,
+                "channel norm underflows float64 (squared norm is 0 but some entries are"
+                " nonzero); rescale the channel",
+                id="1e-170-underflows",
+            ),
+        ],
     )
     def test_channel_norm_out_of_range_is_usage_error(
         self, tmp_path, capsys, entry, message
     ):
-        cfg = json.loads(json.dumps(REFERENCE))
-        del cfg["scenario"]["user_angle_deg"]
-        cfg["scenario"].update(num_antennas=2, channel=[[entry, 0.0], [0.0, entry]])
-        path = tmp_path / "config.yaml"
-        path.write_text(yaml.safe_dump(cfg))
-        rc = main(["solve", "--config", str(path)])
-        assert rc == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error: invalid scenario: ") and message in err
+        path = write_channel_config(tmp_path, [[entry, 0.0], [0.0, entry]])
+        assert_error_line(tmp_path, capsys, path, message)
 
     def test_cross_gain_overflow_is_usage_error(self, tmp_path, capsys):
-        cfg = json.loads(json.dumps(REFERENCE))
-        del cfg["scenario"]["user_angle_deg"]
-        cfg["scenario"].update(target_angle_deg=0.0, channel=[[4e153, 0.0]] * 10)
-        path = tmp_path / "config.yaml"
-        path.write_text(yaml.safe_dump(cfg))
-        rc = main(["solve", "--config", str(path)])
-        assert rc == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error: invalid scenario: ") and "cross gain" in err
+        path = write_channel_config(tmp_path, [[4e153, 0.0]] * 10, target_angle_deg=0.0)
+        assert_error_line(
+            tmp_path, capsys, path,
+            "channel/steering cross gain |h^H a_t|^2 overflows float64; rescale the channel",
+        )
 
     def test_power_product_overflow_is_usage_error(self, tmp_path, capsys):
         # every input is finite, P ||h||^2 is not: capacity would come out inf
-        cfg = json.loads(json.dumps(REFERENCE))
-        del cfg["scenario"]["user_angle_deg"]
-        cfg["scenario"].update(target_angle_deg=0.0, power=1e11, channel=[[4e148, 0.0]] * 10)
-        path = tmp_path / "config.yaml"
-        path.write_text(yaml.safe_dump(cfg))
-        rc = main(["solve", "--config", str(path)])
-        assert rc == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error: invalid scenario: power * ||h||^2 overflows")
+        path = write_channel_config(
+            tmp_path, [[4e148, 0.0]] * 10, target_angle_deg=0.0, power=1e11
+        )
+        assert_error_line(
+            tmp_path, capsys, path,
+            "power * ||h||^2 overflows float64; rescale the channel or the power",
+        )
 
     def test_matched_weight_overflow_is_usage_error(self, tmp_path, capsys):
         # P ||h||^2 and P M are finite, P / ||h||^2 is not: the matched beam
         # would come out as inf entries next to a finite capacity
-        cfg = json.loads(json.dumps(REFERENCE))
-        del cfg["scenario"]["user_angle_deg"]
-        cfg["scenario"].update(target_angle_deg=0.0, power=1e300, channel=[[1e-140, 0.0]] * 10)
-        path = tmp_path / "config.yaml"
+        path = write_channel_config(
+            tmp_path, [[1e-140, 0.0]] * 10, target_angle_deg=0.0, power=1e300
+        )
+        assert_error_line(
+            tmp_path, capsys, path,
+            "power / ||h||^2 overflows float64; rescale the channel or the power",
+        )
+
+    @pytest.mark.parametrize(
+        "radar, message",
+        [
+            ({"gamma": -1.0}, "gamma must be nonnegative, got -1.0"),
+            ({"snr0": -1.0}, "snr_threshold must be nonnegative, got -1.0"),
+            ({"snr_loss_db": 1.0}, "snr_loss_db must be <= 0, got 1.0"),
+        ],
+        ids=["gamma", "snr0", "snr_loss_db"],
+    )
+    def test_radar_requirement_rejected_by_the_library(self, tmp_path, capsys, radar, message):
+        path = write_config(tmp_path)
+        cfg = load_config(path)
+        cfg["radar"] = radar
         path.write_text(yaml.safe_dump(cfg))
-        rc = main(["solve", "--config", str(path)])
-        assert rc == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error: invalid scenario: power / ||h||^2 overflows float64; ")
+        assert_error_line(tmp_path, capsys, path, message, commands=("solve", "verify"))
 
     def test_out_file_rewritten_exactly(self, tmp_path, capsys):
         out = tmp_path / "solution.txt"
@@ -423,39 +456,47 @@ class TestSweepCommand:
 
     def test_descending_grid_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, {"sweep": {"loss_grid_db": [0.0, -5.0]}})
-        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
-        assert rc == EXIT_USAGE
-        assert "ascending" in capsys.readouterr().err
+        assert_error_line(
+            tmp_path, capsys, path, "loss grid must be strictly ascending", commands=["sweep"]
+        )
 
     def test_positive_grid_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, {"sweep": {"loss_grid_db": [-5.0, 1.0]}})
-        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
-        assert rc == EXIT_USAGE
+        assert_error_line(
+            tmp_path, capsys, path, "loss grid entries must be <= 0 dB", commands=["sweep"]
+        )
 
     def test_repeated_minus_inf_rejected(self, tmp_path, capsys):
         # the difference of two -inf is NaN, which no "<= 0" test catches
         path = write_config(tmp_path, {"sweep": {"loss_grid_db": [-math.inf, -math.inf]}})
         assert "-.inf" in path.read_text()
-        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
-        assert rc == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: invalid loss grid: ")
+        assert_error_line(
+            tmp_path, capsys, path, "loss grid must be strictly ascending", commands=["sweep"]
+        )
         assert not (tmp_path / "out" / "tradeoff.csv").exists()
 
     @pytest.mark.parametrize(
-        "sweep",
+        "sweep, message",
         [
-            {"loss_grid_db": [math.nan, -1.0]},
-            {"loss_grid_db": ["abc", -1.0]},
-            {"loss_start_db": math.nan, "loss_stop_db": 0.0, "loss_step_db": 1.0},
-            {"loss_start_db": -math.inf, "loss_stop_db": 0.0, "loss_step_db": 1.0},
+            ({"loss_grid_db": [math.nan, -1.0]}, "loss grid entries must be <= 0 dB"),
+            (
+                {"loss_grid_db": ["abc", -1.0]},
+                "'sweep.loss_grid_db[0]' must be a number, got 'abc'",
+            ),
+            (
+                {"loss_start_db": math.nan, "loss_stop_db": 0.0, "loss_step_db": 1.0},
+                "loss grid bounds and step must be finite",
+            ),
+            (
+                {"loss_start_db": -math.inf, "loss_stop_db": 0.0, "loss_step_db": 1.0},
+                "loss grid bounds and step must be finite",
+            ),
         ],
         ids=["nan-entry", "text-entry", "nan-start", "inf-start"],
     )
-    def test_bad_grid_is_config_error(self, tmp_path, capsys, sweep):
+    def test_bad_grid_is_config_error(self, tmp_path, capsys, sweep, message):
         path = write_config(tmp_path, {"sweep": sweep})
-        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
-        assert rc == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: ")
+        assert_error_line(tmp_path, capsys, path, message, commands=["sweep"])
 
 
     @pytest.mark.parametrize(
@@ -541,6 +582,18 @@ class TestBeampatternCommand:
         rc = main(["beampattern", "--config", str(path), "--out", str(tmp_path / "bp")])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "losses, message",
+        [
+            ([-3.0, 1.0], "loss grid entries must be <= 0 dB"),
+            ([0.0, -3.0], "loss grid must be strictly ascending"),
+        ],
+        ids=["positive", "descending"],
+    )
+    def test_losses_rejected_by_the_library(self, tmp_path, capsys, losses, message):
+        path = write_config(tmp_path, {"sweep": {"beampattern_losses_db": losses}})
+        assert_error_line(tmp_path, capsys, path, message, commands=["beampattern"])
+
 
     @pytest.mark.parametrize(
         "losses", [[-6.0, True], [None], ["-3"]], ids=["bool", "null", "text"]
@@ -622,8 +675,8 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("resolution", 10, "resolution must be at least 64 per axis"),
-            ("trials", 0, "trials must be positive, got 0"),
+            ("resolution", 10, "resolution must be at least 64, got 10"),
+            ("trials", 0, "trials must be at least 1, got 0"),
         ],
     )
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -665,15 +718,14 @@ class TestVerifyCommand:
         rc = main(["verify", "--config", str(path)])
         assert rc == EXIT_USAGE
         captured = capsys.readouterr()
-        assert captured.err == f"error: 'verify.{key}' must be an integer, got {value!r}\n"
+        assert captured.err == f"error: {key} must be an integer, got {value!r}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("value", [10.0, "10", True, [10]], ids=repr)
     def test_non_integer_antenna_count_is_usage_error(self, tmp_path, capsys, value):
         path = write_config(tmp_path, {"scenario": {"num_antennas": value}})
-        assert main(["solve", "--config", str(path)]) == EXIT_USAGE
-        assert capsys.readouterr().err == (
-            f"error: 'scenario.num_antennas' must be an integer, got {value!r}\n"
+        assert_error_line(
+            tmp_path, capsys, path, f"num_antennas must be an integer, got {value!r}"
         )
 
     def test_console_script_runs(self, tmp_path):
@@ -780,15 +832,13 @@ class TestCountsBeyondLimits:
         rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
         assert rc == EXIT_USAGE
         captured = capsys.readouterr()
-        assert captured.err == (
-            f"error: invalid scenario: num_antennas must be at most {2**63 - 1}\n"
-        )
+        assert captured.err == f"error: num_antennas must be at most {2**63 - 1}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize(
         "key, message",
         [
-            ("resolution", f"resolution must be at most {2**63 - 1} per axis"),
+            ("resolution", f"resolution must be at most {2**63 - 1}"),
             ("trials", "trials must be at most 1000000000"),
         ],
     )
@@ -890,16 +940,19 @@ class TestValuesOfTheWrongKind:
             " write it with a decimal point, as 0.001\n"
         )
 
-    def test_refused_allocation_is_an_error_line(self, tmp_path, capsys, monkeypatch):
-        # numpy raises MemoryError when it cannot allocate, as for the
-        # steering vector of num_antennas: 1000000000000; nothing is allocated here
-        message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
-
-        def refuse(config, user_angle_deg=None):
-            raise MemoryError(message)
-
-        monkeypatch.setattr(cli_mod, "build_scenario", refuse)
-        assert main(["solve", "--config", str(write_config(tmp_path))]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {message}\n"
-        assert captured.out == ""
+    def test_refused_allocation_is_an_error_line(self, tmp_path, capsys):
+        # a count numpy can index but no machine can hold: 10^17 8-byte
+        # elements take 711 PiB, more than the 2^57-byte (128 PiB) virtual
+        # address space of 64-bit CPUs, so the allocation fails at once; the
+        # error line names the setting and its value, then numpy's reason
+        count = 10**17
+        cases = [({"scenario": {"num_antennas": count}}, "num_antennas", COMMANDS)]
+        cases += [({"verify": {"resolution": count, "trials": 10}}, "resolution", ["verify"])]
+        for overrides, name, commands in cases:
+            path = write_config(tmp_path, overrides)
+            for command in commands:
+                rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+                captured = capsys.readouterr()
+                assert rc == EXIT_USAGE
+                assert captured.err.startswith(f"error: {name} {count} is too large: Unable to ")
+                assert captured.err.count("\n") == 1 and captured.out == ""

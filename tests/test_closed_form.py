@@ -11,8 +11,6 @@ from dfrc import (
     InfeasibleRadarRequirement,
     Scenario,
     assemble_covariance,
-    capacity_closed_form,
-    classify_case,
     optimal_received_power,
     solve_closed_form,
     steering_vector,
@@ -53,34 +51,45 @@ def brute_force_two_beam_max(scenario, gamma, n=400):
     return best
 
 
+def _case(scenario, gamma):
+    return solve_closed_form(scenario, gamma).case
+
+
+def _capacity(scenario, gamma):
+    return solve_closed_form(scenario, gamma).capacity_bits
+
+
 class TestClassifyCase:
     def test_reference_regimes(self, reference_scenario):
         sc = reference_scenario
-        assert classify_case(sc, 0.0) is CaseTag.BELOW_THRESHOLD
-        assert classify_case(sc, 0.1) is CaseTag.BELOW_THRESHOLD
-        assert classify_case(sc, 0.2) is CaseTag.ACTIVE
-        assert classify_case(sc, 5.0) is CaseTag.ACTIVE
-        assert classify_case(sc, 10.0) is CaseTag.ACTIVE
-        assert classify_case(sc, 11.0) is CaseTag.INFEASIBLE
+        assert _case(sc, 0.0) is CaseTag.BELOW_THRESHOLD
+        assert _case(sc, 0.1) is CaseTag.BELOW_THRESHOLD
+        assert _case(sc, 0.2) is CaseTag.ACTIVE
+        assert _case(sc, 5.0) is CaseTag.ACTIVE
+        assert _case(sc, 10.0) is CaseTag.ACTIVE
+        with pytest.raises(InfeasibleRadarRequirement):
+            _case(sc, 11.0)
 
     def test_boundaries_go_to_active(self, reference_scenario):
         sc = reference_scenario
-        assert classify_case(sc, sc.free_target_power) is CaseTag.ACTIVE
-        assert classify_case(sc, sc.max_target_power) is CaseTag.ACTIVE
+        assert _case(sc, sc.free_target_power) is CaseTag.ACTIVE
+        assert _case(sc, sc.max_target_power) is CaseTag.ACTIVE
         # just inside the tolerance band still counts as the boundary
-        assert classify_case(sc, sc.max_target_power * (1 + 1e-13)) is CaseTag.ACTIVE
-        assert classify_case(sc, sc.max_target_power * (1 + 1e-9)) is CaseTag.INFEASIBLE
+        assert _case(sc, sc.max_target_power * (1 + 1e-13)) is CaseTag.ACTIVE
+        with pytest.raises(InfeasibleRadarRequirement):
+            _case(sc, sc.max_target_power * (1 + 1e-9))
 
     def test_negative_gamma_rejected(self, reference_scenario):
-        with pytest.raises(ValueError):
-            classify_case(reference_scenario, -0.5)
+        for solve in (solve_closed_form, optimal_received_power):
+            with pytest.raises(ValueError, match="^gamma must be nonnegative, got -0.5$"):
+                solve(reference_scenario, -0.5)
 
     def test_orthogonal_any_positive_threshold_binds(self, orthogonal_scenario):
         # free_target_power is float dust above zero, so exactly 0 is slack
         # and anything material binds
-        assert classify_case(orthogonal_scenario, 0.0) is CaseTag.BELOW_THRESHOLD
-        assert classify_case(orthogonal_scenario, 1e-6) is CaseTag.ACTIVE
-        assert classify_case(orthogonal_scenario, 5.0) is CaseTag.ACTIVE
+        assert _case(orthogonal_scenario, 0.0) is CaseTag.BELOW_THRESHOLD
+        assert _case(orthogonal_scenario, 1e-6) is CaseTag.ACTIVE
+        assert _case(orthogonal_scenario, 5.0) is CaseTag.ACTIVE
 
 
 class TestCapacity:
@@ -88,7 +97,7 @@ class TestCapacity:
         # P*||h||^2 = 10: log2(11) whenever the constraint is slack
         expect = math.log2(11.0)
         for gamma in (0.0, 0.05, 0.1, 0.19, 0.2):
-            assert capacity_closed_form(reference_scenario, gamma) == pytest.approx(
+            assert _capacity(reference_scenario, gamma) == pytest.approx(
                 expect, abs=1e-9
             )
 
@@ -98,14 +107,14 @@ class TestCapacity:
         assert optimal_received_power(reference_scenario, 5.0) == pytest.approx(
             6.4, rel=1e-12
         )
-        assert capacity_closed_form(reference_scenario, 5.0) == pytest.approx(
+        assert _capacity(reference_scenario, 5.0) == pytest.approx(
             math.log2(7.4), abs=1e-9
         )
 
     def test_full_loss_monotone(self, reference_scenario):
         sc = reference_scenario
         gammas = np.linspace(0.0, sc.max_target_power, 200)
-        caps = [capacity_closed_form(sc, float(g)) for g in gammas]
+        caps = [_capacity(sc, float(g)) for g in gammas]
         assert all(a >= b - 1e-12 for a, b in zip(caps, caps[1:]))
 
     def test_boundary_continuity(self, reference_scenario):
@@ -113,11 +122,11 @@ class TestCapacity:
         g1 = sc.free_target_power
         inactive = math.log2(1.0 + sc.power_budget * sc.channel_norm_sq)
         # at the case boundary the binding formula must agree with the slack one
-        assert capacity_closed_form(sc, g1) == pytest.approx(inactive, abs=1e-9)
+        assert _capacity(sc, g1) == pytest.approx(inactive, abs=1e-9)
 
     def test_infeasible_raises(self, reference_scenario):
         with pytest.raises(InfeasibleRadarRequirement) as err:
-            capacity_closed_form(reference_scenario, 11.0)
+            _capacity(reference_scenario, 11.0)
         assert err.value.gamma == 11.0
         assert err.value.gamma_max == pytest.approx(10.0)
 
@@ -288,7 +297,7 @@ class TestLazyCovariance:
         sol = solve_closed_form(sc, gamma)
         assert not hasattr(sol, "covariance")
         assert sol.case is CaseTag.ACTIVE
-        assert sol.capacity_bits == capacity_closed_form(sc, gamma)
+        assert sol.capacity_bits == math.log2(1.0 + optimal_received_power(sc, gamma))
         c = sol.vector_c
         assert c.shape == (m,)
         received = abs(np.vdot(sc.channel, c)) ** 2
@@ -296,6 +305,16 @@ class TestLazyCovariance:
         assert float(np.vdot(c, c).real) == pytest.approx(sc.power_budget, rel=1e-9)
         target = abs(np.vdot(sc.target_steering, c)) ** 2
         assert target == pytest.approx(gamma, rel=1e-9)
+
+
+class TestBeamPowers:
+    def test_reference_beam(self, reference_scenario):
+        # the power budget, the threshold it meets with equality, and 6.4
+        sc = reference_scenario
+        c = solve_closed_form(sc, 5.0).vector_c
+        trace, target, received = closed_form.beam_powers(sc, c)
+        assert (trace, target, received) == pytest.approx((1.0, 5.0, 6.4), rel=1e-12)
+        assert all(type(v) is float for v in (trace, target, received))
 
 
 class TestAssembleCovariance:
@@ -322,7 +341,8 @@ def _frozen_solve(scenario, gamma):
     power = scenario.power_budget
     g = scenario.cross_gain
     gabs = abs(g)
-    tag = classify_case(scenario, gamma)
+    below = gamma < scenario.free_target_power * (1.0 - 1e-12)
+    tag = CaseTag.BELOW_THRESHOLD if below else CaseTag.ACTIVE
     if tag is CaseTag.BELOW_THRESHOLD:
         received = power * hh
     else:
@@ -402,9 +422,7 @@ class TestConstantsFormedOnce:
         sweep.tradeoff_sweep(sc)
         sweep.beampattern_sweep(sc)
         for gamma in (0.0, 5.0, 10.0):
-            classify_case(sc, gamma)
             optimal_received_power(sc, gamma)
-            capacity_closed_form(sc, gamma)
             solve_closed_form(sc, gamma)
         assert formed == [sc]
         twin = Scenario(sc.geometry, sc.target_angle, sc.channel, sc.power_budget)

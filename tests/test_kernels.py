@@ -24,7 +24,6 @@ class TestEvalCandidates:
             sc.channel_norm_sq,
             sc.steering_norm_sq,
             abs(g),
-            True,
         )
         # reconstruct the beam and check ||c||^2 == power on every candidate
         h, at = sc.channel, sc.target_steering
@@ -51,7 +50,6 @@ class TestEvalCandidates:
             sc.channel_norm_sq,
             sc.steering_norm_sq,
             abs(g),
-            True,
         )
         for amp, ps, tt, ob in zip(amps, psi, t, obj):
             c = amp * np.exp(1j * (ps + garg)) * sc.channel + tt * sc.target_steering
@@ -70,7 +68,6 @@ class TestEvalCandidates:
             sc.channel_norm_sq,
             sc.steering_norm_sq,
             abs(sc.cross_gain),
-            True,
         )
         assert obj[0] == -math.inf  # big channel component cannot meet it
         assert np.isfinite(obj[1])  # anchored pure-steering candidate
@@ -94,7 +91,6 @@ class TestGridScan:
             sc.channel_norm_sq,
             sc.steering_norm_sq,
             abs(sc.cross_gain),
-            True,
         )
         results = set()
         for points in (1, 1000, 128 * 257, 1 << 18):
@@ -102,9 +98,23 @@ class TestGridScan:
             results.add(kernels.grid_scan(*args))
         assert len(results) == 1
 
+    def test_amp0_feasible_is_accepted_only_as_true(self, reference_scenario):
+        # the amp = 0 row is always feasible; the old switch may still be
+        # passed, as True, and False is refused rather than ignored
+        sc = reference_scenario
+        amps = np.linspace(0.0, math.sqrt(sc.power_budget / sc.channel_norm_sq), 65)
+        phases = np.linspace(0.0, 2.0 * math.pi, 65, endpoint=False)
+        args = (amps, phases, float(np.angle(sc.cross_gain)), sc.power_budget, 10.0,
+                sc.channel_norm_sq, sc.steering_norm_sq, abs(sc.cross_gain))
+        best, bi, _ = kernels.grid_scan(*args)
+        assert bi == 0 and math.isfinite(best)  # at the top, the anchored row wins
+        assert kernels.grid_scan(*args, True) == kernels.grid_scan(*args)
+        with pytest.raises(ValueError, match="amp0_feasible must be True"):
+            kernels.grid_scan(*args, False)
+
 
 def _eval_candidates_reference(
-    amp, cos_psi, sin_psi, power, gamma, ch_norm_sq, st_norm_sq, cross_abs, amp0_feasible
+    amp, cos_psi, sin_psi, power, gamma, ch_norm_sq, st_norm_sq, cross_abs
 ):
     # the evaluator as plain expressions, frozen: the in-place one must
     # match it bit for bit
@@ -120,7 +130,7 @@ def _eval_candidates_reference(
         amp * cross_abs * sin_psi
     ) ** 2
     feasible = (disc >= 0.0) & (radar >= gamma)
-    feasible = np.where(amp == 0.0, amp0_feasible, feasible)
+    feasible = np.where(amp == 0.0, True, feasible)
     obj = (amp * ch_norm_sq + t * cross_abs * cos_psi) ** 2 + (
         t * cross_abs * sin_psi
     ) ** 2
@@ -128,7 +138,7 @@ def _eval_candidates_reference(
 
 
 def _grid_scan_reference(
-    amps, phases, cross_arg, power, gamma, ch_norm_sq, st_norm_sq, cross_abs, amp0_feasible
+    amps, phases, cross_arg, power, gamma, ch_norm_sq, st_norm_sq, cross_abs
 ):
     # the grid scan with 2^18-point blocks and the plain evaluator, frozen
     cos_psi = np.cos(phases - cross_arg)
@@ -147,7 +157,6 @@ def _grid_scan_reference(
             ch_norm_sq,
             st_norm_sq,
             cross_abs,
-            amp0_feasible,
         )
         k = int(np.argmax(obj))
         val = float(obj.flat[k])
@@ -181,11 +190,8 @@ def _scan_corpus():
             target = float(rng.uniform(-1.5, 1.5))
             h = scale * _channel(kind, geom, target, rng)
             sc = Scenario(geom, target, h, float(10.0 ** rng.uniform(-2.0, 2.0)))
-            # a threshold just past the top leaves even amp = 0 infeasible;
-            # the oracle raises there, so its parameters always mark it feasible
-            for fraction in (0.0, float(rng.uniform(0.2, 0.8)), 1.0, 1.0 + 1e-9):
+            for fraction in (0.0, float(rng.uniform(0.2, 0.8)), 1.0):
                 params = oracle._scan_params(sc, fraction * sc.max_target_power)
-                params["amp0_feasible"] = fraction <= 1.0
                 n_amp, n_phase = (int(n) for n in rng.integers(64, 701, size=2))
                 amp_max = math.sqrt(sc.power_budget / sc.channel_norm_sq)
                 amps = np.linspace(0.0, amp_max, n_amp)
@@ -199,7 +205,6 @@ def _scan_corpus():
                     params["ch_norm_sq"],
                     params["st_norm_sq"],
                     params["cross_abs"],
-                    params["amp0_feasible"],
                 ), f"{kind} x{scale:g} gamma={fraction:.3g} {n_amp}x{n_phase}"
 
 
@@ -215,7 +220,7 @@ class TestAgainstFrozenReference:
         for args, label in _scan_corpus():
             assert repr(kernels.grid_scan(*args)) == repr(_grid_scan_reference(*args)), label
             cases += 1
-        assert cases == 80
+        assert cases == 60
 
     def test_grid_scan_phase_axis_longer_than_a_block(self):
         args, _ = next(_scan_corpus())
@@ -241,7 +246,7 @@ class TestAgainstFrozenReference:
     @pytest.mark.parametrize("amp", [0.0, 0.37, [0.0, 0.2, 0.45]])
     def test_eval_candidates_takes_scalars_and_lists(self, reference_scenario, amp):
         sc = reference_scenario
-        rest = (1.0, 4.0, sc.channel_norm_sq, sc.steering_norm_sq, abs(sc.cross_gain), False)
+        rest = (1.0, 4.0, sc.channel_norm_sq, sc.steering_norm_sq, abs(sc.cross_gain))
         got = kernels.eval_candidates(amp, 0.6, 0.8, *rest)
         want = _eval_candidates_reference(amp, 0.6, 0.8, *rest)
         for g, w in zip(got, want):
@@ -582,7 +587,6 @@ def _grid_args(sc, gamma, amps, phases):
         params["ch_norm_sq"],
         params["st_norm_sq"],
         params["cross_abs"],
-        params["amp0_feasible"],
     )
 
 
@@ -592,7 +596,7 @@ _SURE_FLOOR = kernels._NORMAL_MIN / kernels._ROW_MARGIN * (1.0 + kernels._ROW_MA
 
 def _row_values(args):
     """(resid, R) per amp row, formed as the evaluator forms its row term."""
-    amps, _, _, power, _, ch_norm_sq, st_norm_sq, cross_abs, _ = args
+    amps, _, _, power, _, ch_norm_sq, st_norm_sq, cross_abs = args
     resid = st_norm_sq * (power - amps * amps * ch_norm_sq)
     amp_g = amps * cross_abs
     return resid, amp_g * amp_g + resid
@@ -639,7 +643,7 @@ def _row_class_corpus():
 
 
 def _classes(args):
-    amps, phases, cross_arg, power, gamma, ch_norm_sq, st_norm_sq, cross_abs, _ = args
+    amps, phases, cross_arg, power, gamma, ch_norm_sq, st_norm_sq, cross_abs = args
     psi = phases - cross_arg
     sure, edge, _ = kernels._row_classes(
         amps,
@@ -655,7 +659,7 @@ def _classes(args):
 
 def _ceilings(args):
     """Each row's objective ceiling F as the scan forms it; +inf off the sure rows."""
-    amps, _, _, _, _, ch_norm_sq, st_norm_sq, cross_abs, _ = args
+    amps, _, _, _, _, ch_norm_sq, st_norm_sq, cross_abs = args
     sure, _, _ = _classes(args)
     resid, _ = _row_values(args)
     out = np.full(amps.shape, np.inf)
@@ -719,7 +723,7 @@ class TestRowClasses:
     def test_subnormal_row_values_take_the_edge_path(self):
         seen = {"amp_g_sq": 0, "resid": 0, "row": 0}
         for args, label in _row_class_corpus():
-            amps, _, _, _, gamma, _, _, cross_abs, _ = args
+            amps, _, _, _, gamma, _, _, cross_abs = args
             resid, row_r = _row_values(args)
             amp_g = amps * cross_abs
             tiny = np.finfo(np.float64).tiny
@@ -746,7 +750,7 @@ class TestRowClasses:
         # point-wise float radar of the plain formula is R to ~1e-15
         worst = 0.0
         for args, _ in list(_row_class_corpus())[::9]:
-            amps, phases, cross_arg, power, _, ch_norm_sq, st_norm_sq, cross_abs, _ = args
+            amps, phases, cross_arg, power, _, ch_norm_sq, st_norm_sq, cross_abs = args
             resid, row_r = _row_values(args)
             rows = (resid >= 0) & (row_r >= np.finfo(np.float64).tiny) & (amps != 0)
             amp = amps[rows, None]
@@ -821,7 +825,7 @@ class TestRowClasses:
         # evaluator's, bit for bit
         rows_checked = 0
         for args, label in _row_class_corpus():
-            amps, phases, cross_arg, power, gamma, ch_norm_sq, st_norm_sq, cross_abs, a0 = args
+            amps, phases, cross_arg, power, gamma, ch_norm_sq, st_norm_sq, cross_abs = args
             sure, _, _ = _classes(args)
             if not sure.any():
                 continue
@@ -834,7 +838,7 @@ class TestRowClasses:
             )
             want, _ = _eval_candidates_reference(
                 amps[sure, None], cos_psi, sin_psi, power, gamma,
-                ch_norm_sq, st_norm_sq, cross_abs, a0,
+                ch_norm_sq, st_norm_sq, cross_abs,
             )
             _assert_same_bits(got, want)
             rows_checked += int(np.count_nonzero(sure))
@@ -873,7 +877,7 @@ class TestRowClasses:
         # edge row amp = 0 after it: the earlier point, in the sure row, wins
         amps = np.array([1e-300, 0.0])
         phases = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
-        args = (amps, phases, 0.0, 1.0, 1.0, 1.0, 1.0, 1e300, True)
+        args = (amps, phases, 0.0, 1.0, 1.0, 1.0, 1.0, 1e300)
         sure, edge, _ = _classes(args)
         assert sure.tolist() == [True, False] and edge.tolist() == [False, True]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -934,7 +938,7 @@ class TestRowClasses:
         rng = np.random.default_rng(1105)
         offsets = 10.0 ** rng.uniform(-14.0, -6.0, 1000)
         phases = math.pi / 2 + np.concatenate([offsets, -offsets])
-        args = (amps, phases, 0.0, power, 0.0, ch_norm_sq, 1.0, cross_abs, True)
+        args = (amps, phases, 0.0, power, 0.0, ch_norm_sq, 1.0, cross_abs)
         resid, row_r = _row_values(args)
         assert resid[1] == 0.0
         sure, _, _ = _classes(args)
@@ -952,7 +956,7 @@ class TestRowClasses:
 
 
 def _grid_scan_before(
-    amps, phases, cross_arg, power, gamma, ch_norm_sq, st_norm_sq, cross_abs, amp0_feasible
+    amps, phases, cross_arg, power, gamma, ch_norm_sq, st_norm_sq, cross_abs
 ):
     # the row-class scan that evaluates every sure row, frozen: the pruned
     # scan must return the same bits
@@ -975,7 +979,7 @@ def _grid_scan_before(
             else:
                 obj, _ = kernels.eval_candidates(
                     amp, cos_psi, sin_psi, power, gamma,
-                    ch_norm_sq, st_norm_sq, cross_abs, amp0_feasible,
+                    ch_norm_sq, st_norm_sq, cross_abs,
                 )
             k = int(np.argmax(obj))
             val = float(obj.flat[k])
@@ -1035,7 +1039,7 @@ class TestRowCeilings:
         rows = bounded = floored = cases = 0
         kinds = set()
         for args, label in list(_row_class_corpus()) + list(_ceiling_corpus()):
-            amps, _, _, power, gamma, ch_norm_sq, st_norm_sq, cross_abs, a0 = args
+            amps, _, _, power, gamma, ch_norm_sq, st_norm_sq, cross_abs = args
             sure, _, _ = _classes(args)
             if not sure.any():
                 continue
@@ -1051,7 +1055,7 @@ class TestRowCeilings:
             )
             obj, _ = kernels.eval_candidates(
                 amps[picks, None], cos_psi, sin_psi, power, gamma,
-                ch_norm_sq, st_norm_sq, cross_abs, a0,
+                ch_norm_sq, st_norm_sq, cross_abs,
             )
             assert np.all(obj <= ceiling[picks, None]), label
             finite = np.isfinite(ceiling[picks])
@@ -1106,7 +1110,7 @@ class TestRowCeilings:
                 args = _grid_args(sc, fraction * sc.max_target_power, amps, phases)
                 assert repr(kernels.grid_scan(*args)) == repr(_grid_scan_before(*args)), fraction
                 cases += 1
-        assert cases == 80 + 288 + 12 + sum(1 for _ in _ceiling_corpus())
+        assert cases == 60 + 288 + 12 + sum(1 for _ in _ceiling_corpus())
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0, 5.0, 9.5])
     def test_few_sure_rows_reach_the_objective(self, reference_scenario, monkeypatch, gamma):

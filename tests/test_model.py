@@ -19,10 +19,24 @@ class TestArrayGeometry:
         assert g.num_antennas == 10
         assert g.spacing_over_wavelength == 0.5
 
-    @pytest.mark.parametrize("m", [0, -1, 2.5, "4"])
-    def test_bad_antenna_count(self, m):
-        with pytest.raises((ValueError, TypeError)):
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            pytest.param(0, "num_antennas must be at least 1, got 0", id="0"),
+            pytest.param(-1, "num_antennas must be at least 1, got -1", id="-1"),
+            pytest.param(2.5, "num_antennas must be an integer, got 2.5", id="2.5"),
+            pytest.param("4", "num_antennas must be an integer, got '4'", id="4"),
+            pytest.param(True, "num_antennas must be an integer, got True", id="True"),
+            pytest.param(2**63, f"num_antennas must be at most {2**63 - 1}", id="2**63"),
+        ],
+    )
+    def test_bad_antenna_count(self, m, message):
+        with pytest.raises(ValueError) as info:
             ArrayGeometry(m, 0.5)
+        assert str(info.value) == message
+
+    def test_numpy_antenna_count_stored_as_int(self):
+        assert type(ArrayGeometry(np.uint8(4), 0.5).num_antennas) is int
 
     @pytest.mark.parametrize("d", [0.0, -0.25, math.nan])
     def test_bad_spacing(self, d):

@@ -31,7 +31,6 @@ class TestGridSearchOracle:
         best, _, _ = kernels.grid_scan(
             amps, phases, params["cross_arg"], params["power"], params["gamma"],
             params["ch_norm_sq"], params["st_norm_sq"], params["cross_abs"],
-            params["amp0_feasible"],
         )
         assert best <= 6.4 * (1 + 1e-12)
         # raw cell error is first order in the phase step near the binding
@@ -93,12 +92,12 @@ class TestGridSearchOracle:
             assert orc.objective <= exact + 1e-9 * sc.power_budget * sc.channel_norm_sq
 
     def test_resolution_validation(self, reference_scenario):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^resolution must be at least 64, got 32$"):
             grid_search_oracle(reference_scenario, 1.0, resolution=32)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^gamma must be nonnegative, got -1.0$"):
             grid_search_oracle(reference_scenario, -1.0)
         # more points than numpy can index, named before any array is made
-        with pytest.raises(ValueError, match=f"^resolution must be at most {2**63 - 1} per axis$"):
+        with pytest.raises(ValueError, match=f"^resolution must be at most {2**63 - 1}$"):
             grid_search_oracle(reference_scenario, 1.0, resolution=2**63)
 
     def test_scalar_resolution_broadcast(self, reference_scenario, monkeypatch):
@@ -267,6 +266,15 @@ class TestKktCheck:
         with pytest.raises(ValueError, match=r"candidate beam must have shape \(10,\), got \(9,\)"):
             kkt_check(short, reference_scenario, 5.0)
 
+    def test_threshold_out_of_range_rejected(self, reference_scenario):
+        # it used to return a bound for any float: P ||h||^2 at gamma = -1,
+        # and rho P ||h||^2 above the top, where no beam is feasible
+        sol = solve_closed_form(reference_scenario, 5.0)
+        with pytest.raises(ValueError, match="^gamma must be nonnegative, got -1.0$"):
+            kkt_check(sol, reference_scenario, -1.0)
+        with pytest.raises(InfeasibleRadarRequirement):
+            kkt_check(sol, reference_scenario, 11.0)
+
 
 class TestRandomFalsifier:
     def test_never_beats_closed_form(self, make_random_scenario):
@@ -323,9 +331,9 @@ class TestRandomFalsifier:
         assert result.num_trials == 3000
 
     def test_validates_inputs(self, reference_scenario):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^gamma must be nonnegative, got -1.0$"):
             random_falsifier(reference_scenario, -1.0, trials=10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^trials must be at least 1, got 0$"):
             random_falsifier(reference_scenario, 1.0, trials=0)
 
     @pytest.mark.parametrize(

@@ -22,9 +22,9 @@ from dfrc import (
     assemble_covariance,
     beam_pattern,
     beampattern_sweep,
-    capacity_closed_form,
-    classify_case,
+    grid_search_oracle,
     optimal_received_power,
+    random_falsifier,
     resolve_radar_spec,
     solve_closed_form,
     tradeoff_sweep,
@@ -58,7 +58,7 @@ class TestTradeoffSweep:
             gamma = resolve_radar_spec(RadarSnrSpec(snr_loss_db=p.snr_loss_db), sc).gamma
             assert p.gamma == pytest.approx(gamma, rel=1e-14)
             assert p.capacity_bits == pytest.approx(
-                capacity_closed_form(sc, gamma), rel=1e-14
+                solve_closed_form(sc, gamma).capacity_bits, rel=1e-14
             )
 
     def test_capacity_non_increasing_in_loss(self, reference_scenario):
@@ -751,7 +751,7 @@ class TestSharedConstants:
         points = tradeoff_sweep(sc, sorted(losses))
         for p in points:
             sol = solve_closed_form(sc, p.gamma)
-            assert p.case is classify_case(sc, p.gamma) is sol.case, (label, p)
+            assert p.case is sol.case, (label, p)
             assert repr(p.capacity_bits) == repr(sol.capacity_bits), (label, p)
             received = optimal_received_power(sc, p.gamma)
             assert repr(p.capacity_bits) == repr(math.log2(1.0 + received)), (label, p)
@@ -766,19 +766,22 @@ class TestSharedConstants:
         for gamma in _boundary_gammas(sc):
             sol = solve_closed_form(sc, gamma)
             received = optimal_received_power(sc, gamma)
-            assert classify_case(sc, gamma) is sol.case
             assert repr(sol.capacity_bits) == repr(math.log2(1.0 + received))
-            assert repr(capacity_closed_form(sc, gamma)) == repr(sol.capacity_bits)
 
     @pytest.mark.parametrize("label, sc", BOUNDARY_CASES, ids=BOUNDARY_IDS)
     def test_top_bound_accepts_its_own_value_and_no_more(self, label, sc):
         top = sc.max_target_power * (1.0 + 1e-12)
-        assert classify_case(sc, top) is CaseTag.ACTIVE
         assert solve_closed_form(sc, top).case is CaseTag.ACTIVE
         above = float(np.nextafter(top, math.inf))
-        assert classify_case(sc, above) is CaseTag.INFEASIBLE
         message = str(InfeasibleRadarRequirement(above, sc.max_target_power))
-        for solve in (solve_closed_form, optimal_received_power, capacity_closed_form):
+        # every entry point makes the one threshold check
+        for solve in (
+            solve_closed_form,
+            optimal_received_power,
+            lambda sc, gamma: grid_search_oracle(sc, gamma, resolution=64),
+            lambda sc, gamma: random_falsifier(sc, gamma, trials=10),
+        ):
+            solve(sc, top)
             with pytest.raises(InfeasibleRadarRequirement) as info:
                 solve(sc, above)
             assert str(info.value) == message

@@ -110,9 +110,9 @@ class TestRunVerification:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("resolution", 63, "resolution must be at least 64 per axis"),
-            ("resolution", 2**63, f"resolution must be at most {2**63 - 1} per axis"),
-            ("trials", 0, "trials must be positive, got 0"),
+            ("resolution", 63, "resolution must be at least 64, got 63"),
+            ("resolution", 2**63, f"resolution must be at most {2**63 - 1}"),
+            ("trials", 0, "trials must be at least 1, got 0"),
             ("trials", 10**9 + 1, "trials must be at most 1000000000"),
             ("trials", 10**400, "trials must be at most 1000000000"),
         ],
