@@ -2,30 +2,25 @@
 
 :func:`beam_pattern` evaluates a(phi)^H R a(phi) over a grid of directions
 for any Hermitian PSD covariance R, not just the rank-one optimum. The
-blocked steering projections behind it are shared with the beam-pattern
-sweep, which projects h and a_t once instead of forming c c^H.
+steering projections behind it are shared with the beam-pattern sweep,
+which projects h and a_t once instead of forming c c^H.
 
-On a uniform linear array a(-phi) = conj(a(phi)), and with numpy's even
-cos and odd sin this holds bit for bit. So the projections build one
-steering row per distinct |phi| and project it and its conjugate: the
-default grid, symmetric about broadside, takes 361 rows instead of 721,
-and every value keeps the bits of its own row.
-
-The rows depend only on the array and the grid, not on the vectors
-projected. When all of a grid's rows fit in one projection block (fewer
-than twice a block's rows, so at most 512 KiB up to 8,192 antennas: M = 8
-and M = 64 on the default grid), that block is built once per (array,
-grid) and reused, read-only, by every later pattern or sweep on the same
-pair, and so is its conjugate once a mirrored angle has read it: a call
-on cached rows allocates only its results. Larger grids stay streamed a
-block at a time, each conjugated in place, and are not kept: at
-M = 512 the default grid's rows would add about 3 MB to the peak memory of
-every process that draws one pattern.
+Entry m of a(phi) is e^{-j m theta}, theta = 2 pi d sin phi. It is built in
+real float64 products and sums from the factors e^{-j 2^k theta} for
+k < ceil(log2 M): rows [w, 2w) are rows [0, w) times the factor of w. Only
+these, numpy's cos and sin and sums in a fixed order enter, so the bits do
+not depend on numpy's SIMD level. One cache, ``_grid``, keeps per (array,
+grid) the index from each angle to its |phi|, the factors and, when the
+grid's rows fit one projection block (M = 8 and M = 64 on the default
+grid), the rows themselves, read-only. Larger grids, M = 512 among them,
+are streamed a block at a time, which keeps about 3 MB of rows out of every
+process that draws one pattern.
 """
 
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +41,11 @@ _HALF_PI_TOL = math.pi / 2.0 + 1e-12
 # M = 512), so that the whole N x M steering matrix is never formed
 _PROJECTION_BLOCK_ENTRIES = 16384
 
+# Veltkamp's splitter for float64, 2^27 + 1, and the rounding error of the
+# float 2 pi, 2 pi - fl(2 pi)
+_SPLIT = 134217729.0
+_TWO_PI_LO = 2.4492935982947064e-16
+
 
 @dataclass(frozen=True)
 class BeamPattern:
@@ -61,118 +61,121 @@ def default_angle_grid() -> np.ndarray:
 
 
 def _pattern_angles(angle_grid=None) -> np.ndarray:
-    """Validated beam-pattern angles (radians): the default grid when None."""
-    if angle_grid is None:
-        return default_angle_grid()
-    angles = np.asarray(angle_grid, dtype=np.float64)
+    """Validated angles (radians) as a new read-only array: the default grid when None."""
+    angles = default_angle_grid() if angle_grid is None else np.array(angle_grid, np.float64)
     if angles.ndim != 1 or angles.size == 0:
         raise ValueError("angle_grid must be a nonempty 1-D array")
     if np.any(np.isnan(angles)) or angles.min() < -_HALF_PI_TOL or angles.max() > _HALF_PI_TOL:
         raise ValueError("angle_grid entries must lie in [-pi/2, pi/2] rad")
+    angles.setflags(write=False)
     return angles
 
 
-def _steering_matrix(geometry: ArrayGeometry, angles: np.ndarray) -> np.ndarray:
-    """Rows are the array's steering vectors a(phi) at each of ``angles``."""
-    phase = -2.0 * math.pi * geometry.spacing_over_wavelength
-    x = phase * np.outer(np.sin(angles), np.arange(geometry.num_antennas))
-    # cos + j sin of the real phase: the same bits as np.exp(1j * x), without
-    # a complex exponential
-    out = np.empty(x.shape, dtype=np.complex128)
-    np.cos(x, out=out.real)
-    np.sin(x, out=out.imag)
-    return out
+def _two_product(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker 1971), barring overflow."""
+    p = a * b
+    t = _SPLIT * a
+    a_hi = t - (t - a)
+    t = _SPLIT * b
+    b_hi = t - (t - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
-@functools.lru_cache(maxsize=2)
-def _steering_block(geometry: ArrayGeometry, magnitudes: bytes) -> np.ndarray:
-    """The read-only steering rows of one whole grid of float64 ``magnitudes``.
+def _phase_factors(geometry: ArrayGeometry, magnitudes: np.ndarray) -> np.ndarray:
+    """cos(2^k theta) and -sin(2^k theta) at each magnitude, k < ceil(log2 M): (2, K, n).
 
-    Keyed on the element count, the spacing and the grid's bytes. Two
-    entries: a design over several arrays runs each array's scenarios
-    together, and holds at most two one-block arrays (M = 8 and M = 64).
+    theta = 2 pi d sin|phi| is carried as hi + lo: 2 pi d = c + c_lo, and
+    c sin|phi| = hi + e exactly. 2^k hi is exact, and the factors are
+    corrected to first order in 2^k lo, whose square is below (pi M eps)^2.
     """
-    block = _steering_matrix(geometry, np.frombuffer(magnitudes))
-    block.setflags(write=False)
-    return block
+    d = geometry.spacing_over_wavelength
+    c, c_err = _two_product(2.0 * math.pi, d)
+    sin = np.sin(magnitudes)
+    hi, lo = _two_product(c, sin)
+    lo = lo + (c_err + _TWO_PI_LO * d) * sin
+    powers = np.ldexp(1.0, np.arange((geometry.num_antennas - 1).bit_length()))[:, None]
+    x, dx = powers * hi, powers * lo
+    cos, sin = np.cos(x), np.sin(x)
+    return np.stack([cos - sin * dx, -(sin + cos * dx)])
 
 
-@functools.lru_cache(maxsize=2)
-def _conjugated_block(geometry: ArrayGeometry, magnitudes: bytes) -> np.ndarray:
-    """conj of ``_steering_block``'s rows, read-only: the rows of the mirrored angles.
+def _steering_rows(factors: np.ndarray, m: int) -> np.ndarray:
+    """re and im of entries 0..M-1 at the angles of ``factors``, (2, M, n): rows [w, 2w)
+    are rows [0, w) times factor k, w = 2^k, as re c - im s and im c + re s."""
+    n = factors.shape[-1]
+    rows = np.empty((2, m, n))
+    scratch = np.empty((2, m // 2, n))
+    rows[0, 0], rows[1, 0] = 1.0, 0.0
+    w = 1
+    for c, s in zip(factors[0], factors[1]):
+        top = min(2 * w, m)
+        low, high, t = rows[:, : top - w], rows[:, w:top], scratch[:, : top - w]
+        np.multiply(low, c, out=high)
+        np.multiply(low, s, out=t)
+        np.subtract(high[0], t[1], out=high[0])
+        np.add(high[1], t[0], out=high[1])
+        w = top
+    return rows
 
-    Kept next to the plain rows, for the same two arrays, so that a grid
-    read on both sides conjugates its rows once, not on every call.
-    """
-    block = np.conjugate(_steering_block(geometry, magnitudes))
-    block.setflags(write=False)
-    return block
+
+class _Grid(NamedTuple):
+    gather: np.ndarray  # per angle: its magnitude's index, plus n when mirrored
+    factors: np.ndarray  # _phase_factors of the n distinct magnitudes
+    rows: np.ndarray | None  # read-only _steering_rows when one block holds them
 
 
-def _project(steering: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # a(phi)^H x for every row a(phi)^T of ``steering``; einsum instead of a
-    # BLAS matvec, whose thread wake-up alone can cost milliseconds
-    return np.einsum("nm,m->n", steering, x.conj()).conj()
+@functools.lru_cache(maxsize=3)
+def _grid(geometry: ArrayGeometry, angles: bytes) -> _Grid:
+    """The ``_Grid`` of the float64 ``angles``; three entries, as a design over
+    the arrays M = 8, 64 and 512 runs each array's scenarios together."""
+    angles = np.frombuffer(angles)
+    magnitudes, index = np.unique(np.abs(angles), return_inverse=True)
+    # at least two columns: einsum sums a one-column block in another order
+    if magnitudes.size == 1:
+        magnitudes = np.repeat(magnitudes, 2)
+    n, m = magnitudes.size, geometry.num_antennas
+    factors = _phase_factors(geometry, magnitudes)
+    rows = None
+    if n < 2 * max(2, _PROJECTION_BLOCK_ENTRIES // m):
+        rows = _steering_rows(factors, m)
+        rows.setflags(write=False)
+    return _Grid(index + n * np.signbit(angles), factors, rows)
 
 
 def _steering_projections(geometry: ArrayGeometry, angles: np.ndarray, *vectors):
-    """a(phi)^H x at each of ``angles``, one array per x in ``vectors``.
+    """a(phi)^H x at each of ``angles`` for each x in ``vectors``: (real, imag), each (V, N).
 
-    Rows are built only for the distinct magnitudes |phi|, so a grid
-    symmetric about broadside, as the default one is, pays for half the cos
-    and sin. On a uniform linear array the row for -phi is conj(a(phi)) bit
-    for bit: numpy's float64 sin is odd and its cos even, and negation
-    commutes with IEEE products, so that row's phases are exactly the
-    negated ones, with the same cos and the negated sin. Each block is
-    therefore projected, conjugated in place and projected again, and each
-    angle takes the second value when its sign bit is set (-0.0 too, whose
-    row is conj(a(+0.0))). Summing sum_m a_m(phi) x_m instead would be
-    conj(a(-phi)^H x) up to the sign of zero imaginary parts only. A block
-    is projected plain only when one of its angles has the sign bit clear,
-    and conjugated only when one has it set, so a one-sided grid pays for
-    one projection per row.
-
-    The rows are built one block at a time, so the whole steering matrix is
-    never held and each block stays in cache. Every row is summed as in a
-    single unblocked projection, so the results are the same bits. A grid of
-    one block takes its rows from ``_steering_block`` and their conjugates
-    from ``_conjugated_block``; a grid of several builds each block and
-    conjugates it in place.
+    With re, im the parts of a(|phi|)'s entries and x = x_r + j x_i, the sums
+    A = sum re x_r, B = sum im x_i, C = sum re x_i and D = sum im x_r give
+    a(|phi|)^H x = (A + B) + j(C - D) and, as a(-phi) = conj(a(|phi|)),
+    a(-phi)^H x = (A - B) + j(C + D), taken where the sign bit is set.
+    Uncached rows are built a block of about ``_PROJECTION_BLOCK_ENTRIES``
+    entries (n >= 2 columns) at a time, so each stays in cache. Each sum is
+    einsum's sequential sum over m of one column, so its bits do not depend
+    on the block, the rest of the grid or the vectors' layout. Error: besides
+    the rounding of sin|phi|, which any construction from it shares, an
+    entry is a product of at most ceil(log2 M) factors within about an ulp
+    each, so off by a few eps per factor (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3), where cos and sin of a rounded phase
+    m theta are off by up to m theta eps / 2.
     """
-    magnitudes, index = np.unique(np.abs(angles), return_inverse=True)
-    # at least two rows per block unless there is only one angle: beyond
-    # 8,192 antennas einsum sums a one-row matrix in a different order, so a
-    # grid of one magnitude and several angles builds that row twice
-    rows = max(2, _PROJECTION_BLOCK_ENTRIES // geometry.num_antennas)
-    if magnitudes.size == 1 < angles.size:
-        magnitudes = np.repeat(magnitudes, 2)
-    mirrored = np.signbit(angles)
-    # the sides each magnitude is read from: plain (0) and conjugated (1)
-    wanted = np.zeros((2, magnitudes.size), dtype=bool)
-    wanted[0, index[~mirrored]] = True
-    wanted[1, index[mirrored]] = True
-    sides = [np.zeros((2, magnitudes.size), dtype=np.complex128) for _ in vectors]
-    count = magnitudes.size // rows
-    key = magnitudes.tobytes() if count <= 1 else None
-    if key is not None:
-        blocks = [_steering_block(geometry, key)]
-    else:
-        blocks = (_steering_matrix(geometry, b) for b in np.array_split(magnitudes, count))
-    start = 0
-    for block in blocks:
-        stop = start + block.shape[0]
-        for side in (0, 1):
-            if not wanted[side, start:stop].any():
-                continue
-            if side:
-                if key is None:
-                    block = np.conjugate(block, out=block)
-                else:
-                    block = _conjugated_block(geometry, key)
-            for out, x in zip(sides, vectors):
-                out[side, start:stop] = _project(block, x)
-        start = stop
-    return [np.where(mirrored, out[1, index], out[0, index]) for out in sides]
+    grid = _grid(geometry, angles.tobytes())
+    m, n = geometry.num_antennas, grid.factors.shape[-1]
+    parts = [np.ascontiguousarray(p) for x in vectors for p in (x.real, x.imag)]
+    # [x_r, x_i] by [re, im] per vector: [[A, D], [C, B]]
+    sums = np.empty((len(vectors), 2, 2, n))
+    count = 1 if grid.rows is not None else n // max(2, _PROJECTION_BLOCK_ENTRIES // m)
+    edges = [n * i // count for i in range(count + 1)]
+    for start, stop in zip(edges, edges[1:]):
+        rows = _steering_rows(grid.factors[..., start:stop], m) if grid.rows is None else grid.rows
+        for out, x in zip(sums.reshape(-1, 2, n), parts):
+            out[:, start:stop] = np.einsum("smn,m->sn", rows, x)
+        del rows  # so that the next block is built with this one gone
+    (a, d), (c, b) = sums.transpose(1, 2, 0, 3)
+    real = np.concatenate([a + b, a - b], axis=1)[:, grid.gather]
+    imag = np.concatenate([c - d, c + d], axis=1)[:, grid.gather]
+    return real, imag
 
 
 def _diagonal_sums(r: np.ndarray) -> np.ndarray:
@@ -197,8 +200,8 @@ def beam_pattern(covariance, geometry: ArrayGeometry, angle_grid=None) -> BeamPa
     if r.shape != (m, m):
         raise ValueError(f"covariance must have shape ({m}, {m}), got {r.shape}")
     t = _diagonal_sums(r)
-    (projection,) = _steering_projections(geometry, angles, t)
-    power = 2.0 * projection.real - t[0].real
+    (projection,), _ = _steering_projections(geometry, angles, t)
+    power = 2.0 * projection - t[0].real
     scale = max(1.0, float(np.abs(np.trace(r))))
     if power.min() < -_PSD_ATOL * scale:
         raise ValueError(
@@ -206,7 +209,5 @@ def beam_pattern(covariance, geometry: ArrayGeometry, angle_grid=None) -> BeamPa
             f"{math.degrees(angles[power.argmin()]):.2f} deg"
         )
     power = np.maximum(power, 0.0)
-    angles = angles.copy()
-    angles.setflags(write=False)
     power.setflags(write=False)
     return BeamPattern(angles=angles, power=power)

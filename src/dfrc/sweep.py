@@ -27,8 +27,8 @@ import functools
 import math
 import os
 import stat
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ BEAMPATTERN_HEADER = ("snr_loss_db", "angle_deg", "power")
 DEFAULT_BEAMPATTERN_LOSSES_DB = (-20.0, -10.0, -5.0, 0.0)
 
 
-@dataclass(frozen=True)
-class TradeoffPoint:
+class TradeoffPoint(NamedTuple):
     """One point of the capacity versus radar-SNR-loss tradeoff."""
 
     snr_loss_db: float
@@ -104,26 +103,25 @@ def beampattern_sweep(scenario: Scenario, losses_db=None, angle_grid=None):
     0.25-degree grid unless ``angle_grid`` (radians) is given. The optimum is
     rank one, c = coeff_a * h + coeff_b * a_t, so each pattern is
     |coeff_a * a^H h + coeff_b * a^H a_t|^2 from two projections made once
-    per call, a block of angles at a time; no covariance is formed.
+    per call, a block of angles at a time; no covariance is formed, and the
+    field is formed in real products and sums, in a fixed order.
     """
     if losses_db is None:
         losses_db = DEFAULT_BEAMPATTERN_LOSSES_DB
-    grid = _check_loss_grid(losses_db)
-    angles = _pattern_angles(angle_grid).copy()
-    angles.setflags(write=False)
-    on_channel, on_target = _steering_projections(
+    losses = _check_loss_grid(losses_db).tolist()
+    angles = _pattern_angles(angle_grid)
+    (hr, tr), (hi, ti) = _steering_projections(
         scenario.geometry, angles, scenario.channel, scenario.target_steering
     )
     k = _constants(scenario)
-    out = []
-    for loss in grid.tolist():
-        # the grid is checked, so this is resolve_radar_spec's gamma
-        _, _, a, b = _beam(k, _gamma_at_loss(k.gamma_max, loss))
-        field = a * on_channel + b * on_target
-        power = field.real * field.real + field.imag * field.imag
-        power.setflags(write=False)
-        out.append((loss, BeamPattern(angles=angles, power=power)))
-    return out
+    # the grid is checked, so each gamma is resolve_radar_spec's
+    coeffs = np.array([_beam(k, _gamma_at_loss(k.gamma_max, loss))[2:] for loss in losses])
+    (ar, br), (ai, bi) = coeffs.real.T[..., None], coeffs.imag.T[..., None]
+    real = (ar * hr - ai * hi) + (br * tr - bi * ti)
+    imag = (ar * hi + ai * hr) + (br * ti + bi * tr)
+    power = real * real + imag * imag
+    power.setflags(write=False)
+    return [(loss, BeamPattern(angles=angles, power=p)) for loss, p in zip(losses, power)]
 
 
 # the % conversion of each number field type, with the comma that ends the

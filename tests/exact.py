@@ -1,16 +1,60 @@
-"""Exact reference for the dual bound: the float problem as given, solved in decimal.
+"""Exact references: the float problem as given, and steering projections, in decimal.
 
 The inputs are binary floats, so the optimum of the problem they define has
 an exact value. Each float entry of the channel and the steering vector
 converts to decimal exactly, and ||h||^2, ||a_t||^2, h^H a_t, the optimum
 and its multiplier are then formed in 80-digit decimal. Its rounding is
 about 1e-80 relative, some 10^64 times below float's, so the results serve
-as the exact values. Standard library only.
+as the exact values. The same holds for a(phi)^H x at a float angle phi:
+sin phi and e^{j theta} come from their series, and the powers of e^{j theta}
+from decimal products, all at 80 digits. Standard library only.
 """
 
 from decimal import Context, Decimal, localcontext
 
 _CONTEXT = Context(prec=80)
+
+# pi to 90 digits, so that it rounds once, to the context's 80
+_PI = Decimal(
+    "3.14159265358979323846264338327950288419716939937510582097494459230781640628620899862803"
+)
+
+
+def _sin_cos(x):
+    """(sin x, cos x) of a Decimal x of modest size, by their Taylor series."""
+    x2 = x * x
+    sin, cos = x, Decimal(1)
+    term_sin, term_cos, k = x, Decimal(1), 1
+    while True:
+        term_cos = -term_cos * x2 / (k * (k + 1))
+        term_sin = -term_sin * x2 / ((k + 1) * (k + 2))
+        if sin + term_sin == sin and cos + term_cos == cos:
+            return sin, cos
+        sin, cos, k = sin + term_sin, cos + term_cos, k + 2
+
+
+def exact_projections(spacing, angles, x):
+    """a(phi)^H x at each float angle phi, as (real, imaginary) Decimal pairs.
+
+    a(phi) is the uniform linear array's steering vector, entry m
+    e^{-j m theta} with theta = 2 pi d sin phi and d = ``spacing``, so
+    a(phi)^H x = sum_m z^m x_m with z = e^{j theta}. Each float entry of
+    ``x`` and each float angle converts to decimal exactly.
+    """
+    with localcontext(_CONTEXT):
+        xs = [(Decimal(v.real), Decimal(v.imag)) for v in x]
+        out = []
+        for angle in angles:
+            sin_phi, _ = _sin_cos(Decimal(angle))
+            zi, zr = _sin_cos(2 * _PI * Decimal(spacing) * sin_phi)
+            re = im = Decimal(0)
+            pr, pi = Decimal(1), Decimal(0)
+            for xr, xi in xs:
+                re += pr * xr - pi * xi
+                im += pr * xi + pi * xr
+                pr, pi = pr * zr - pi * zi, pr * zi + pi * zr
+            out.append((re, im))
+        return out
 
 
 def exact_optimum(scenario, gamma):

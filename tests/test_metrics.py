@@ -14,12 +14,7 @@ from dfrc import (
 )
 from dfrc import metrics
 from dfrc.sweep import beampattern_sweep
-from dfrc.metrics import (
-    _project,
-    _steering_matrix,
-    _steering_projections,
-    default_angle_grid,
-)
+from dfrc.metrics import _steering_projections, default_angle_grid
 
 
 class TestBeamPattern:
@@ -85,25 +80,59 @@ def _exp_steering(geometry, angles):
     return np.exp(1j * phase * np.outer(np.sin(angles), np.arange(geometry.num_antennas)))
 
 
-def _bits(z):
-    return np.ascontiguousarray(z).view(np.uint64)
+def _rows(geometry, magnitudes):
+    """The construction's steering rows at ``magnitudes``: (2, M, n), re and im."""
+    factors = metrics._phase_factors(geometry, np.asarray(magnitudes, dtype=np.float64))
+    return metrics._steering_rows(factors, geometry.num_antennas)
 
 
 class TestSteeringMatrix:
     @pytest.mark.parametrize("spacing", [0.25, 0.5, 0.7])
     @pytest.mark.parametrize("m", [1, 2, 8, 64, 512, 2048])
-    def test_bitwise_equal_to_complex_exponential(self, m, spacing):
+    def test_within_rounding_of_complex_exponential(self, m, spacing):
+        # entry m of exp(1j * phase * m * sin(phi)) carries the roundings of
+        # fl(2 pi) d, of its product with sin(phi) and of the product with m,
+        # half an ulp each of a phase up to 2 pi d m; the power-of-two
+        # factors add a few eps per factor
         geometry = ArrayGeometry(m, spacing)
         angles = np.concatenate(
             [default_angle_grid(), np.random.default_rng(m).uniform(-1.5, 1.5, 97)]
         )
-        got = _steering_matrix(geometry, angles)
-        assert got.dtype == np.complex128
-        assert np.array_equal(_bits(got), _bits(_exp_steering(geometry, angles)))
+        rows = _rows(geometry, np.abs(angles))
+        got = rows[0] + 1j * np.where(np.signbit(angles), -rows[1], rows[1])
+        want = _exp_steering(geometry, angles).T
+        factors = (m - 1).bit_length()
+        bound = 2.0**-52 * (3.0 * math.pi * spacing * np.arange(m) + 4 * factors + 4)
+        assert np.all(np.abs(got - want) <= bound[:, None])
+        assert np.array_equal(got[0], np.ones(angles.size))
 
 
 def _random_vector(rng, m):
     return rng.standard_normal(m) + 1j * rng.standard_normal(m)
+
+
+def _unblocked(geometry, angles, *vectors):
+    """a(phi)^H x as one evaluation: a row for every angle's |phi|, one block.
+
+    Every angle is built twice, so that the block has at least two columns,
+    as every block of the projections has.
+    """
+    rows = _rows(geometry, np.abs(np.concatenate([angles, angles])))
+    mirrored = np.signbit(angles)
+    real, imag = [], []
+    for x in vectors:
+        (a, d), (c, b) = (
+            np.einsum("smn,m->sn", rows, np.ascontiguousarray(part))[:, : angles.size]
+            for part in (x.real, x.imag)
+        )
+        real.append(np.where(mirrored, a - b, a + b))
+        imag.append(np.where(mirrored, c + d, c - d))
+    return np.array(real), np.array(imag)
+
+
+def _assert_same_bits(got, want, label=None):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), label
 
 
 class TestBlockedProjections:
@@ -118,7 +147,7 @@ class TestBlockedProjections:
             (2048, 300),
             (512, 1),
             (3, 1),
-            (BUDGET + 3, 5),  # more antennas than the budget: 2 + 3 rows
+            (BUDGET + 3, 5),  # more antennas than the budget: 2 + 3 columns
             (BUDGET + 3, 1),
         ],
     )
@@ -127,11 +156,22 @@ class TestBlockedProjections:
         rng = np.random.default_rng([m, num_angles])
         angles = rng.uniform(-math.pi / 2, math.pi / 2, num_angles)
         vectors = [_random_vector(rng, m), _random_vector(rng, m)]
-        steering = _steering_matrix(geometry, angles)
         got = _steering_projections(geometry, angles, *vectors)
-        assert len(got) == 2
-        for result, x in zip(got, vectors):
-            assert np.array_equal(_bits(result), _bits(_project(steering, x)))
+        assert [part.shape for part in got] == [(2, num_angles)] * 2
+        _assert_same_bits(got, _unblocked(geometry, angles, *vectors))
+
+    def test_memory_layout_keeps_the_bits(self):
+        # strided and reversed vectors and angles, and a Fortran-ordered
+        # parent array, give the bits of contiguous copies
+        geometry = ArrayGeometry(257, 0.5)
+        rng = np.random.default_rng(1206)
+        base = np.asfortranarray(rng.standard_normal((514, 4)) + 1j * rng.standard_normal((514, 4)))
+        angles = rng.uniform(-math.pi / 2, math.pi / 2, 200)
+        x, y = base[::2, 1], base[::-2, 3]
+        got = _steering_projections(geometry, angles[::-1][::2], x, y)
+        want = _steering_projections(geometry, angles[::-1][::2].copy(), x.copy(), y.copy())
+        _assert_same_bits(got, want)
+        _assert_same_bits(got, _unblocked(geometry, angles[::-1][::2], x, y))
 
 
 def _mirror_grids():
@@ -163,93 +203,78 @@ class TestMirroredProjections:
         vectors = [_random_vector(rng, m), rng.standard_normal(m) + 0j, np.ones(m, complex)]
         for label, angles in _mirror_grids():
             got = _steering_projections(geometry, angles, *vectors)
-            steering = _steering_matrix(geometry, angles)
-            for result, x in zip(got, vectors):
-                want = _project(steering, x)
-                assert np.array_equal(_bits(result), _bits(want)), label
+            _assert_same_bits(got, _unblocked(geometry, angles, *vectors), label)
+            # a(-phi) = conj(a(|phi|)): projecting the conjugated rows as
+            # complex numbers gives the same values up to the sums' rounding
+            rows = _rows(geometry, np.abs(angles))
+            rows[1, :, np.signbit(angles)] *= -1.0
+            conj_rows = rows[0] - 1j * rows[1]
+            for v, x in enumerate(vectors):
+                want = np.einsum("mn,m->n", conj_rows, x)
+                error = np.abs(got[0][v] + 1j * got[1][v] - want)
+                assert np.all(error <= 1e-13 * np.abs(x).sum()), label
 
     def test_default_grid_builds_each_magnitude_once(self, reference_scenario, monkeypatch):
         # the default grid is symmetric: one beam-pattern sweep builds 361
         # steering rows, one per |phi|, not 721; the grid is one block at
         # M = 10, so a second sweep on the same array builds none
         built = []
+        rows = metrics._steering_rows
 
-        def counting(geometry, angles):
-            built.append(angles.size)
-            return _steering_matrix(geometry, angles)
+        def counting(factors, m):
+            built.append(factors.shape[-1])
+            return rows(factors, m)
 
-        monkeypatch.setattr(metrics, "_steering_matrix", counting)
-        metrics._steering_block.cache_clear()
+        monkeypatch.setattr(metrics, "_steering_rows", counting)
+        metrics._grid.cache_clear()
         beampattern_sweep(reference_scenario)
         assert sum(built) == 361
         beampattern_sweep(reference_scenario)
         assert sum(built) == 361
-
-
-def _steering_projections_before(geometry, angles, *vectors):
-    # the mirrored projections that project every block both ways, frozen:
-    # skipping the side no angle reads must keep the bits
-    magnitudes, index = np.unique(np.abs(angles), return_inverse=True)
-    rows = max(2, metrics._PROJECTION_BLOCK_ENTRIES // geometry.num_antennas)
-    if magnitudes.size == 1 < angles.size:
-        magnitudes = np.repeat(magnitudes, 2)
-    parts = [([], []) for _ in vectors]
-    for block_angles in np.array_split(magnitudes, max(1, magnitudes.size // rows)):
-        block = _steering_matrix(geometry, block_angles)
-        for (positive, _), x in zip(parts, vectors):
-            positive.append(_project(block, x))
-        np.conjugate(block, out=block)
-        for (_, negative), x in zip(parts, vectors):
-            negative.append(_project(block, x))
-    mirrored = np.signbit(angles)
-    return [
-        np.where(mirrored, np.concatenate(negative)[index], np.concatenate(positive)[index])
-        for positive, negative in parts
-    ]
 
 
 class TestOneSidedProjections:
     @pytest.mark.parametrize(
         "label, angles, calls",
         [
-            # 721 magnitudes in 22 blocks of 32 or 33 rows at M = 512
+            # 721 magnitudes in 22 blocks of 32 or 33 columns at M = 512
             ("one-sided", np.linspace(0.0, math.pi / 2, 721), 22),
-            # +0.0 ends the grid: its block is read both ways
-            ("one-sided negative", np.linspace(-math.pi / 2, 0.0, 721), 23),
+            ("one-sided negative", np.linspace(-math.pi / 2, 0.0, 721), 22),
             ("one-sided negative without zero", np.linspace(-math.pi / 2, -0.01, 721), 22),
-            # 361 magnitudes in 11 blocks, each read both ways
-            ("default", default_angle_grid(), 22),
+            # 361 magnitudes in 11 blocks: each mirrored pair shares its row
+            ("default", default_angle_grid(), 11),
         ],
     )
-    def test_each_block_projects_only_the_sides_it_reads(self, monkeypatch, label, angles, calls):
+    def test_each_block_builds_its_rows_once(self, monkeypatch, label, angles, calls):
         geometry = ArrayGeometry(512, 0.5)
         rng = np.random.default_rng(1202)
         vectors = [_random_vector(rng, 512), rng.standard_normal(512) + 0j]
-        want = _steering_projections_before(geometry, angles, *vectors)
-        count = []
+        built = []
+        rows = metrics._steering_rows
 
-        def counting(steering, x):
-            count.append(1)
-            return _project(steering, x)
+        def counting(factors, m):
+            built.append(factors.shape[-1])
+            return rows(factors, m)
 
-        monkeypatch.setattr(metrics, "_project", counting)
+        monkeypatch.setattr(metrics, "_steering_rows", counting)
         got = metrics._steering_projections(geometry, angles, *vectors)
-        assert len(count) == calls * len(vectors), label
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), label
+        assert len(built) == calls, label
+        assert sum(built) == np.unique(np.abs(angles)).size, label
+        assert min(built) >= 2, label
+        _assert_same_bits(got, _unblocked(geometry, angles, *vectors), label)
 
     def test_mirror_grids_keep_their_bits(self):
-        # signed zeros, duplicates, unpaired and single angles: the same
-        # bytes as projecting every block both ways
+        # signed zeros, duplicates, unpaired and single angles: each angle
+        # has the bits it has when projected alone
         rng = np.random.default_rng(1203)
         for m in (1, 3, 512, metrics._PROJECTION_BLOCK_ENTRIES + 3):
             geometry = ArrayGeometry(m, 0.5)
             vectors = [_random_vector(rng, m), np.ones(m, complex)]
             for label, angles in _mirror_grids():
-                got = _steering_projections(geometry, angles, *vectors)
-                want = _steering_projections_before(geometry, angles, *vectors)
-                for g, w in zip(got, want):
-                    assert g.tobytes() == w.tobytes(), (m, label)
+                real, imag = _steering_projections(geometry, angles, *vectors)
+                for i, angle in enumerate(angles):
+                    alone = _steering_projections(geometry, angles[i : i + 1], *vectors)
+                    _assert_same_bits((real[:, i], imag[:, i]), (alone[0][:, 0], alone[1][:, 0]))
 
 
 def _cache_grids():
@@ -264,9 +289,9 @@ def _cache_grids():
 
 class TestSteeringBlockCache:
     def test_hits_and_misses_keep_their_bits(self):
-        # each case runs between two others, so that with two entries kept
-        # both hits and misses are checked against projecting every block
-        # both ways from freshly built rows
+        # each case runs between two others, so that with three entries
+        # kept both hits and misses are checked against one unblocked
+        # evaluation from freshly built rows
         rng = np.random.default_rng(1204)
         cases = [
             (m, spacing, label, angles)
@@ -274,62 +299,59 @@ class TestSteeringBlockCache:
             for spacing in (0.5, 0.37)
             for label, angles in _cache_grids()
         ]
-        metrics._steering_block.cache_clear()
-        metrics._conjugated_block.cache_clear()
-        for a, b in zip(cases, cases[1:] + cases[:1]):
-            for m, spacing, label, angles in (a, b, a):
+        metrics._grid.cache_clear()
+        for a, b, c in zip(cases, cases[1:] + cases[:1], cases[2:] + cases[:2]):
+            for m, spacing, label, angles in (a, b, c, a):
                 geometry = ArrayGeometry(m, spacing)
                 vectors = [_random_vector(rng, m), rng.standard_normal(m) + 0j]
                 got = _steering_projections(geometry, angles, *vectors)
-                want = _steering_projections_before(geometry, angles, *vectors)
-                for g, w in zip(got, want):
-                    assert g.tobytes() == w.tobytes(), (m, spacing, label)
-        for cache in (metrics._steering_block, metrics._conjugated_block):
-            info = cache.cache_info()
-            assert info.hits > 0 and info.misses > 0
+                _assert_same_bits(got, _unblocked(geometry, angles, *vectors), (m, spacing, label))
+        info = metrics._grid.cache_info()
+        assert info.hits > 0 and info.misses > 0
 
     def test_cached_rows_are_read_only_and_kept(self, reference_scenario):
         sc = reference_scenario
         angles = default_angle_grid()
-        magnitudes = np.unique(np.abs(angles))
-        key = (sc.geometry, magnitudes.tobytes())
-        block = metrics._steering_block(*key)
-        before = block.copy()
-        assert not block.flags.writeable
+        grid = metrics._grid(sc.geometry, angles.tobytes())
+        before = grid.rows.copy()
+        assert not grid.rows.flags.writeable
         with pytest.raises(ValueError):
-            block[0, 0] = 0.0
-        # the default grid reads every row plain and conjugated
+            grid.rows[0, 0, 0] = 0.0
         _steering_projections(sc.geometry, angles, sc.channel, sc.target_steering)
-        assert metrics._steering_block(*key) is block
-        assert block.tobytes() == before.tobytes()
-        assert np.array_equal(block, _steering_matrix(sc.geometry, magnitudes))
+        assert metrics._grid(sc.geometry, angles.tobytes()) is grid
+        assert grid.rows.tobytes() == before.tobytes()
+        assert grid.rows.tobytes() == _rows(sc.geometry, np.unique(np.abs(angles))).tobytes()
 
-    def test_conjugated_rows_are_read_only_and_kept(self, reference_scenario):
+    def test_warm_call_runs_no_unique(self, reference_scenario, monkeypatch):
+        # the grid's distinct magnitudes and its index are kept with its
+        # rows, and the default grid is not copied on its way in
         sc = reference_scenario
-        angles = default_angle_grid()
-        magnitudes = np.unique(np.abs(angles))
-        key = (sc.geometry, magnitudes.tobytes())
-        metrics._conjugated_block.cache_clear()
-        # a one-sided grid reads no mirrored row, so it conjugates nothing
-        _steering_projections(sc.geometry, magnitudes, sc.channel)
-        assert metrics._conjugated_block.cache_info().currsize == 0
-        _steering_projections(sc.geometry, angles, sc.channel, sc.target_steering)
-        block = metrics._conjugated_block(*key)
-        assert metrics._conjugated_block.cache_info().misses == 1
-        assert not block.flags.writeable
-        assert block.tobytes() == np.conjugate(_steering_matrix(sc.geometry, magnitudes)).tobytes()
-        _steering_projections(sc.geometry, angles, sc.channel, sc.target_steering)
-        assert metrics._conjugated_block(*key) is block
+        calls = []
+        unique = np.unique
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(metrics.np, "unique", counting)
+        metrics._grid.cache_clear()
+        beampattern_sweep(sc)
+        assert len(calls) == 1
+        grid = default_angle_grid()
+        monkeypatch.setattr(metrics, "default_angle_grid", lambda: grid)
+        patterns = beampattern_sweep(sc)
+        assert len(calls) == 1
+        assert all(pattern.angles is grid for _, pattern in patterns)
+        assert not grid.flags.writeable
 
     def test_call_on_cached_rows_allocates_only_its_results(self):
-        # the mirrored side reads the cached conjugates: no scratch copy of
-        # the 361 x 64 rows (370 KB) is made per call
+        # a call on cached rows builds no rows and copies none
         geometry = ArrayGeometry(64, 0.5)
         angles = default_angle_grid()
         rng = np.random.default_rng(1205)
         vectors = [_random_vector(rng, 64), _random_vector(rng, 64)]
         _steering_projections(geometry, angles, *vectors)
-        rows = metrics._steering_block(geometry, np.unique(np.abs(angles)).tobytes())
+        rows = metrics._grid(geometry, angles.tobytes()).rows
         tracemalloc.start()
         try:
             _steering_projections(geometry, angles, *vectors)
@@ -338,20 +360,33 @@ class TestSteeringBlockCache:
             tracemalloc.stop()
         assert peak < rows.nbytes / 2
 
+    def test_streamed_blocks_stay_small(self):
+        # M = 512 on the default grid streams 11 blocks of 32 or 33 columns:
+        # the peak is one block, its scratch and the results, never two blocks
+        geometry = ArrayGeometry(512, 0.5)
+        angles = default_angle_grid()
+        vectors = [np.ones(512, complex), _random_vector(np.random.default_rng(1207), 512)]
+        _steering_projections(geometry, angles, *vectors)
+        tracemalloc.start()
+        try:
+            _steering_projections(geometry, angles, *vectors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.69 * 2**20
+
     def test_multi_block_grid_is_not_cached(self):
-        metrics._steering_block.cache_clear()
-        metrics._conjugated_block.cache_clear()
+        metrics._grid.cache_clear()
         geometry = ArrayGeometry(512, 0.5)
         _steering_projections(geometry, default_angle_grid(), np.ones(512, complex))
-        assert metrics._steering_block.cache_info().currsize == 0
-        assert metrics._conjugated_block.cache_info().currsize == 0
+        assert metrics._grid(geometry, default_angle_grid().tobytes()).rows is None
+        assert metrics._grid.cache_info().currsize == 1
 
     def test_bounded(self):
         for m in range(1, 51):
             _steering_projections(ArrayGeometry(m, 0.5), default_angle_grid(), np.ones(m, complex))
-        for cache in (metrics._steering_block, metrics._conjugated_block):
-            info = cache.cache_info()
-            assert info.currsize <= info.maxsize
+        info = metrics._grid.cache_info()
+        assert info.currsize <= info.maxsize
 
 
 def _quadratic_form_pattern(covariance, geometry):

@@ -49,6 +49,19 @@ class TestTradeoffSweep:
         assert grid[-1] == 0.0
         assert np.allclose(np.diff(grid), 0.25, atol=1e-12)
 
+    def test_point_is_immutable_with_named_fields(self):
+        point = TradeoffPoint(-3.0, 2.0, 1.5, CaseTag.ACTIVE)
+        named = {"snr_loss_db": -3.0, "gamma": 2.0, "capacity_bits": 1.5, "case": CaseTag.ACTIVE}
+        assert point == TradeoffPoint(**named)
+        assert repr(point) == (
+            "TradeoffPoint(snr_loss_db=-3.0, gamma=2.0, capacity_bits=1.5,"
+            " case=<CaseTag.ACTIVE: 'active'>)"
+        )
+        for name in (*named, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(point, name, 0.0)
+        assert [getattr(point, name) for name in named] == list(named.values())
+
     def test_points_match_direct_solve(self, reference_scenario):
         sc = reference_scenario
         losses = [-30.0, -10.0, -3.0, 0.0]
@@ -690,8 +703,7 @@ def test_fresh_import_leaves_caches_empty():
     code = (
         "import dfrc\n"
         "from dfrc import metrics, sweep\n"
-        "print(metrics._steering_block.cache_info().currsize,"
-        " metrics._conjugated_block.cache_info().currsize,"
+        "print(metrics._grid.cache_info().currsize,"
         " sweep._degree_column.cache_info().currsize,"
         " sweep._pattern_template.cache_info().currsize)\n"
     )
@@ -699,7 +711,55 @@ def test_fresh_import_leaves_caches_empty():
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout == "0 0 0 0\n"
+    assert out.stdout == "0 0 0\n"
+
+
+
+def _dispatched_cpu_features():
+    """The features numpy dispatches to at run time that this CPU has.
+
+    NPY_DISABLE_CPU_FEATURES accepts exactly these; their names differ
+    between numpy versions, and numpy 1.x keeps the module in numpy.core.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        from numpy.core import _multiarray_umath as umath
+    return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+
+
+def test_pattern_bytes_do_not_depend_on_numpy_simd_level(tmp_path):
+    # beampattern.csv of the reference config and of an M = 512 array,
+    # written by child processes with and without numpy's run-time SIMD
+    # dispatch; the steering rows, the projections and the field are all
+    # real products, sums, cos and sin, so the bytes must be the same
+    root = Path(__file__).resolve().parents[1]
+    reference = root / "configs" / "reference.yaml"
+    text = reference.read_text()
+    assert "\n  num_antennas: 10\n" in text
+    large = tmp_path / "m512.yaml"
+    large.write_text(text.replace("\n  num_antennas: 10\n", "\n  num_antennas: 512\n"))
+    code = (
+        "import sys\n"
+        "from dfrc.cli import main\n"
+        "for config, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+        "    assert main(['beampattern', '--config', config, '--out', out]) == 0\n"
+    )
+    features = " ".join(_dispatched_cpu_features())
+    written = {}
+    for label, disabled in (("default", None), ("baseline", features)):
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        outs = [tmp_path / label / name for name in ("reference", "m512")]
+        args = [str(v) for pair in zip((reference, large), outs) for v in pair]
+        subprocess.run(
+            [sys.executable, "-c", code, *args], env=env, capture_output=True, check=True
+        )
+        written[label] = [(out / "beampattern.csv").read_bytes() for out in outs]
+    assert [len(b.splitlines()) for b in written["default"]] == [2885, 2885]
+    assert written["default"] == written["baseline"], features
 
 
 def _boundary_scenarios():
@@ -791,15 +851,18 @@ class TestSharedConstants:
         # each pattern is the solver's own beam at that loss, bit for bit
         sc = _random_scenario(m, kind)
         angles = metrics.default_angle_grid()
-        on_channel, on_target = metrics._steering_projections(
+        (hr, tr), (hi, ti) = metrics._steering_projections(
             sc.geometry, angles, sc.channel, sc.target_steering
         )
         for loss, pat in beampattern_sweep(sc, [-math.inf, -30.0, -10.0, -3.0, -0.0]):
             sol = solve_closed_form(
                 sc, resolve_radar_spec(RadarSnrSpec(snr_loss_db=loss), sc).gamma
             )
-            field = sol.coeff_a * on_channel + sol.coeff_b * on_target
-            power = field.real * field.real + field.imag * field.imag
+            # coeff_a a^H h + coeff_b a^H a_t in real products and sums
+            a, b = sol.coeff_a, sol.coeff_b
+            real = (a.real * hr - a.imag * hi) + (b.real * tr - b.imag * ti)
+            imag = (a.real * hi + a.imag * hr) + (b.real * ti + b.imag * tr)
+            power = real * real + imag * imag
             assert pat.power.tobytes() == power.tobytes(), (m, kind, loss)
 
 
