@@ -8,13 +8,7 @@ package computes it, sweeps the capacity/radar tradeoff, and verifies the
 algebra against brute-force oracles that share none of its code.
 """
 
-from .closed_form import (
-    BeamformerSolution,
-    CaseTag,
-    assemble_covariance,
-    optimal_received_power,
-    solve_closed_form,
-)
+from .closed_form import CaseTag, assemble_covariance, optimal_received_power, solve_closed_form
 from .metrics import BeamPattern, beam_pattern, default_angle_grid
 from .model import (
     ArrayGeometry,
@@ -24,14 +18,7 @@ from .model import (
     resolve_radar_spec,
     steering_vector,
 )
-from .oracle import (
-    FalsifierResult,
-    KktCertificate,
-    OracleSolution,
-    grid_search_oracle,
-    kkt_check,
-    random_falsifier,
-)
+from .oracle import grid_search_oracle, kkt_check, random_falsifier
 from .sweep import (
     TradeoffPoint,
     beampattern_sweep,
@@ -47,12 +34,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ArrayGeometry",
     "BeamPattern",
-    "BeamformerSolution",
     "CaseTag",
-    "FalsifierResult",
     "InfeasibleRadarRequirement",
-    "KktCertificate",
-    "OracleSolution",
     "RadarSnrSpec",
     "Scenario",
     "TradeoffPoint",

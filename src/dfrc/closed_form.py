@@ -6,8 +6,8 @@ optimum is rank one, R = c c^H with c a combination of the channel h and the
 target steering vector a_t; everything below is closed form in the three
 scalars ||h||^2, ||a_t||^2 and h^H a_t.
 
-:func:`solve_closed_form` returns a :class:`BeamformerSolution`: the regime,
-the weights on h and a_t, the beam c itself and the capacity. Everything
+:func:`solve_closed_form` returns a named tuple of the regime, the weights
+on h and a_t, the beam c itself and the capacity. Everything
 else is a scalar function of c (:func:`beam_powers` forms its powers), so
 no M x M matrix is formed; :func:`assemble_covariance` builds c c^H for a
 caller that wants it.
@@ -23,7 +23,7 @@ per threshold only for what depends on the threshold.
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +51,7 @@ class CaseTag(enum.Enum):
 _BELOW, _ACTIVE = CaseTag.BELOW_THRESHOLD, CaseTag.ACTIVE
 
 
-@dataclass(frozen=True)
-class BeamformerSolution:
+class BeamformerSolution(NamedTuple):
     """Optimal rank-one transmit beam and its bookkeeping.
 
     ``vector_c`` is the beamforming vector, ``coeff_a``/``coeff_b`` the

@@ -19,7 +19,6 @@ process that draws one pattern.
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -47,8 +46,7 @@ _SPLIT = 134217729.0
 _TWO_PI_LO = 2.4492935982947064e-16
 
 
-@dataclass(frozen=True)
-class BeamPattern:
+class BeamPattern(NamedTuple):
     """Transmit power versus direction: angles in radians, power >= 0."""
 
     angles: np.ndarray

@@ -8,8 +8,9 @@ dimensionless linear quantities.
 """
 
 import math
+import numbers
 import operator
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +45,16 @@ class InfeasibleRadarRequirement(ValueError):
         self.gamma_max = gamma_max
 
 
-def _check_angle(angle: float, label: str) -> float:
-    angle = float(angle)
+def _real(value, label: str) -> float:
+    """``value`` as a float: Python and numpy real numbers only, never a bool."""
+    # numpy registers its floats and integers as numbers.Real; bool is one too
+    if not isinstance(value, numbers.Real) or isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{label} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _check_angle(angle, label: str) -> float:
+    angle = _real(angle, label)
     if not -_HALF_PI <= angle <= _HALF_PI:
         raise ValueError(f"{label} must lie in [-pi/2, pi/2] rad, got {angle!r}")
     return angle
@@ -67,7 +76,7 @@ def _integer(value, label: str, low, high) -> int:
 
 
 def _nonnegative(value, label: str) -> float:
-    value = float(value)
+    value = _real(value, label)
     if not value >= 0.0:
         raise ValueError(f"{label} must be nonnegative, got {value!r}")
     return value
@@ -85,24 +94,56 @@ def _threshold(scenario: "Scenario", gamma) -> float:
 
 
 def _positive_finite(value, label: str) -> float:
-    value = float(value)
+    value = _real(value, label)
     if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"{label} must be positive and finite, got {value!r}")
     return value
 
 
-@dataclass(frozen=True)
-class ArrayGeometry:
-    """Uniform linear array: element count and spacing in wavelengths."""
+class _Value:
+    """Read-only slotted value: ``__init__`` checks its arguments and sets the
+    slots through ``object.__setattr__``; a copy or an unpickled one is built
+    by ``__init__`` again, so nothing skips the checks."""
 
-    num_antennas: int
-    spacing_over_wavelength: float
+    __slots__ = ()
+    _fields = ()  # the constructor's arguments, in order
 
-    def __post_init__(self):
-        n = _integer(self.num_antennas, "num_antennas", 1, MAX_COUNT)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self._fields)
+
+    def __repr__(self):
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+class ArrayGeometry(_Value):
+    """Uniform linear array: element count and spacing in wavelengths.
+
+    Equal arrays compare and hash equal, since an array keys the beam-pattern cache.
+    """
+
+    __slots__ = _fields = ("num_antennas", "spacing_over_wavelength")
+
+    def __init__(self, num_antennas: int, spacing_over_wavelength: float):
+        n = _integer(num_antennas, "num_antennas", 1, MAX_COUNT)
+        d = _positive_finite(spacing_over_wavelength, "spacing_over_wavelength")
         object.__setattr__(self, "num_antennas", n)
-        d = _positive_finite(self.spacing_over_wavelength, "spacing_over_wavelength")
         object.__setattr__(self, "spacing_over_wavelength", d)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        same = self.num_antennas == other.num_antennas
+        return same and self.spacing_over_wavelength == other.spacing_over_wavelength
+
+    def __hash__(self):
+        return hash((self.num_antennas, self.spacing_over_wavelength))
 
 
 def steering_vector(geometry: ArrayGeometry, angle: float) -> np.ndarray:
@@ -122,8 +163,7 @@ def steering_vector(geometry: ArrayGeometry, angle: float) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Value):
     """Immutable problem instance with its derived quantities cached.
 
     Attributes
@@ -137,30 +177,23 @@ class Scenario:
         Total transmit power (trace bound on the covariance), > 0.
     target_amplitude : float
         Target reflection amplitude (its square scales the radar SNR), > 0.
+
+    Two scenarios are equal only when they are the same object.
     """
 
-    geometry: ArrayGeometry
-    target_angle: float
-    channel: np.ndarray
-    power_budget: float
-    target_amplitude: float = 1.0
+    _fields = ("geometry", "target_angle", "channel", "power_budget", "target_amplitude")
+    # cached at construction, and the closed form's per-scenario constants,
+    # formed on first use there
+    __slots__ = _fields + (
+        "target_steering", "channel_norm_sq", "steering_norm_sq", "cross_gain", "_closed_form",
+    )
 
-    # cached at construction
-    target_steering: np.ndarray = field(init=False, repr=False, compare=False)
-    channel_norm_sq: float = field(init=False, repr=False, compare=False)
-    steering_norm_sq: float = field(init=False, repr=False, compare=False)
-    cross_gain: complex = field(init=False, repr=False, compare=False)
-    # the closed form's per-scenario constants, formed on first use there
-    _closed_form: object = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not isinstance(self.geometry, ArrayGeometry):
+    def __init__(self, geometry, target_angle, channel, power_budget, target_amplitude=1.0):
+        if not isinstance(geometry, ArrayGeometry):
             raise TypeError("geometry must be an ArrayGeometry")
-        object.__setattr__(
-            self, "target_angle", _check_angle(self.target_angle, "target_angle")
-        )
-        m = self.geometry.num_antennas
-        ch = np.array(self.channel, dtype=np.complex128)
+        target_angle = _check_angle(target_angle, "target_angle")
+        m = geometry.num_antennas
+        ch = np.array(channel, dtype=np.complex128)
         if ch.shape != (m,):
             raise ValueError(
                 f"channel must have shape ({m},) to match the array, got {ch.shape}"
@@ -182,17 +215,10 @@ class Scenario:
                     "some entries are nonzero); rescale the channel"
                 )
             raise ValueError("channel must be nonzero")
-        p = _positive_finite(self.power_budget, "power_budget")
-        amp = _positive_finite(self.target_amplitude, "target_amplitude")
+        p = _positive_finite(power_budget, "power_budget")
+        amp = _positive_finite(target_amplitude, "target_amplitude")
         ch.setflags(write=False)
-        at = steering_vector(self.geometry, self.target_angle)
-        object.__setattr__(self, "channel", ch)
-        object.__setattr__(self, "power_budget", p)
-        object.__setattr__(self, "target_amplitude", amp)
-        object.__setattr__(self, "target_steering", at)
-        object.__setattr__(self, "channel_norm_sq", hh)
-        # unit-modulus entries, so the norm is exact
-        object.__setattr__(self, "steering_norm_sq", float(m))
+        at = steering_vector(geometry, target_angle)
         cross = complex(np.vdot(ch, at))
         # |h^H a_t| <= ||h|| sqrt(M) is finite, but its square can overflow
         if not math.isfinite(abs(cross) * abs(cross)):
@@ -200,7 +226,10 @@ class Scenario:
                 "channel/steering cross gain |h^H a_t|^2 overflows float64; "
                 "rescale the channel"
             )
-        object.__setattr__(self, "cross_gain", cross)
+        # in the order of __slots__; ||a_t||^2 = M is exact, the entries being unit-modulus
+        values = (geometry, target_angle, ch, p, amp, at, hh, float(m), cross, None)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
         # each factor is finite, but a product or ratio with the power budget
         # can overflow: a product would surface later as an infinite capacity,
         # power / ||h||^2 (the matched beam's squared weight) as an inf beam
@@ -244,8 +273,7 @@ class Scenario:
         return self.power_budget * abs(self.cross_gain) ** 2 / self.channel_norm_sq
 
 
-@dataclass(frozen=True)
-class RadarSnrSpec:
+class RadarSnrSpec(NamedTuple):
     """Radar requirement in three equivalent forms; supply exactly one.
 
     ``snr_threshold`` is the required radar output SNR (linear),
@@ -303,7 +331,7 @@ def resolve_radar_spec(spec: RadarSnrSpec, scenario: Scenario) -> RadarSnrSpec:
         loss = -math.inf if snr0 == 0.0 else 10.0 * math.log10(snr0 / snr_max)
         return RadarSnrSpec(snr_threshold=snr0, snr_loss_db=loss, gamma=gamma)
 
-    loss = float(spec.snr_loss_db)
+    loss = _real(spec.snr_loss_db, "snr_loss_db")
     if math.isnan(loss) or loss > 0.0:
         raise ValueError(f"snr_loss_db must be <= 0, got {loss!r}")
     gamma = _gamma_at_loss(gamma_cap, loss)

@@ -15,7 +15,7 @@ Three oracles, none of which call into the closed-form solver:
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +51,7 @@ _RAMP.setflags(write=False)
 _RESOLVED = 2.0**-46
 
 
-@dataclass(frozen=True)
-class OracleSolution:
+class OracleSolution(NamedTuple):
     """Best beam found by the subspace scan.
 
     ``amp_a`` and ``phase_diff`` are the magnitude and phase of the channel
@@ -66,8 +65,7 @@ class OracleSolution:
     amp_b: float
 
 
-@dataclass(frozen=True)
-class KktCertificate:
+class KktCertificate(NamedTuple):
     """Lagrange-dual bound D on |h^H c|^2 over feasible beams, and its multiplier.
 
     ``dual_lambda`` is the target-power multiplier that attains D; it is None
@@ -79,8 +77,7 @@ class KktCertificate:
     bound: float
 
 
-@dataclass(frozen=True)
-class FalsifierResult:
+class FalsifierResult(NamedTuple):
     """Outcome of the random-beam search: -inf objective when nothing was feasible."""
 
     best_objective: float

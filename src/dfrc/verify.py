@@ -9,14 +9,12 @@ must reach it and the reference objective must equal it, everywhere on the
 feasible range, its top included.
 """
 
-import dataclasses
 import math
-import numbers
 
 import numpy as np
 
 from .closed_form import beam_powers, optimal_received_power, solve_closed_form
-from .model import MAX_COUNT, Scenario, _integer
+from .model import MAX_COUNT, Scenario, _integer, _real
 from .oracle import (
     DEFAULT_RESOLUTION, MAX_TRIALS, MIN_RESOLUTION, grid_search_oracle, kkt_check,
     random_falsifier,
@@ -47,7 +45,7 @@ def _perturbed(solution, scenario: Scenario, magnitude: float, seed: int):
     noise *= magnitude * np.sqrt(scenario.power_budget) / np.linalg.norm(noise)
     c = solution.vector_c + noise
     c.setflags(write=False)
-    return dataclasses.replace(solution, vector_c=c)
+    return solution._replace(vector_c=c)
 
 
 def run_verification(
@@ -70,20 +68,17 @@ def run_verification(
     Raises InfeasibleRadarRequirement when ``gamma`` exceeds the budget, and
     ValueError, before solving, when ``resolution``, ``trials`` or ``seed``
     is not an integer, ``resolution`` or ``trials`` is out of its range (see
-    ``grid_search_oracle`` and ``random_falsifier``), or ``perturb`` is not
-    a Python or numpy real number (a bool is not one), or is negative or not
-    finite.
+    ``grid_search_oracle`` and ``random_falsifier``), ``gamma`` or ``perturb``
+    is not a Python or numpy real number (a bool is not one), or ``perturb``
+    is negative or not finite.
     """
     trials = _integer(trials, "trials", 1, MAX_TRIALS)
     seed = _integer(seed, "seed", -math.inf, math.inf)
     resolution = _integer(resolution, "resolution", MIN_RESOLUTION, MAX_COUNT)
-    # numpy registers its floats and integers as numbers.Real; bool is one too
-    if not isinstance(perturb, numbers.Real) or isinstance(perturb, bool):
-        raise ValueError(f"perturb must be a real number, got {perturb!r}")
-    perturb = float(perturb)
+    perturb = _real(perturb, "perturb")
     if not (perturb >= 0.0 and math.isfinite(perturb)):
         raise ValueError(f"perturb must be nonnegative and finite, got {perturb!r}")
-    gamma = float(gamma)
+    gamma = _real(gamma, "gamma")
     solution = solve_closed_form(scenario, gamma)
     if perturb:
         solution = _perturbed(solution, scenario, perturb, seed)

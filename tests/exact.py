@@ -3,7 +3,8 @@
 The inputs are binary floats, so the optimum of the problem they define has
 an exact value. Each float entry of the channel and the steering vector
 converts to decimal exactly, and ||h||^2, ||a_t||^2, h^H a_t, the optimum
-and its multiplier are then formed in 80-digit decimal. Its rounding is
+and its multiplier, and the powers ||c||^2, |a_t^H c|^2 and |h^H c|^2 of a
+float beam c, are then formed in 80-digit decimal. Its rounding is
 about 1e-80 relative, some 10^64 times below float's, so the results serve
 as the exact values. The same holds for a(phi)^H x at a float angle phi:
 sin phi and e^{j theta} come from their series, and the powers of e^{j theta}
@@ -57,6 +58,39 @@ def exact_projections(spacing, angles, x):
         return out
 
 
+def _decimals(v):
+    """Each complex float entry of ``v`` as an exact (real, imaginary) Decimal pair."""
+    return [(Decimal(z.real), Decimal(z.imag)) for z in v.tolist()]
+
+
+def _norm_sq(x):
+    return sum(re * re + im * im for re, im in x)
+
+
+def _inner_sq(x, y):
+    """|x^H y|^2, with x^H y = sum_k conj(x_k) y_k."""
+    re = sum(xr * yr + xi * yi for (xr, xi), (yr, yi) in zip(x, y))
+    im = sum(xr * yi - xi * yr for (xr, xi), (yr, yi) in zip(x, y))
+    return re * re + im * im
+
+
+def exact_norm_sq(v):
+    """||v||^2 of a float vector, as a Decimal."""
+    with localcontext(_CONTEXT):
+        return _norm_sq(_decimals(v))
+
+
+def exact_beam_powers(scenario, c):
+    """(||c||^2, |a_t^H c|^2, |h^H c|^2) of the float beam ``c``, as Decimals."""
+    with localcontext(_CONTEXT):
+        x = _decimals(c)
+        return (
+            _norm_sq(x),
+            _inner_sq(_decimals(scenario.target_steering), x),
+            _inner_sq(_decimals(scenario.channel), x),
+        )
+
+
 def exact_optimum(scenario, gamma):
     """(P ||h||^2, optimum, lambda) of the problem at ``gamma``, as Decimals.
 
@@ -70,16 +104,11 @@ def exact_optimum(scenario, gamma):
     ``gamma`` above its top P ||a_t||^2 raises ValueError.
     """
     with localcontext(_CONTEXT):
-        h = [(Decimal(z.real), Decimal(z.imag)) for z in scenario.channel.tolist()]
-        a = [(Decimal(z.real), Decimal(z.imag)) for z in scenario.target_steering.tolist()]
-        hh = sum(x * x + y * y for x, y in h)
-        aa = sum(x * x + y * y for x, y in a)
-        # h^H a_t = sum_k conj(h_k) a_k
-        re = sum(hx * ax + hy * ay for (hx, hy), (ax, ay) in zip(h, a))
-        im = sum(hx * ay - hy * ax for (hx, hy), (ax, ay) in zip(h, a))
+        h, a = _decimals(scenario.channel), _decimals(scenario.target_steering)
+        hh, aa = _norm_sq(h), _norm_sq(a)
         power = Decimal(scenario.power_budget)
         unit = power * hh
-        rho = (re * re + im * im) / (hh * aa)
+        rho = _inner_sq(h, a) / (hh * aa)
         g = Decimal(gamma) / (power * aa)
         if g > 1:
             raise ValueError(f"gamma {gamma!r} is above the exact top of the range")

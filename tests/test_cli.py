@@ -756,6 +756,18 @@ class TestQuietProcess:
         assert proc.stdout.startswith("case: active\n")
 
 
+class TestImport:
+    def test_cli_import_leaves_dataclasses_unloaded(self):
+        # the value types are NamedTuples and slotted classes, and neither
+        # numpy nor PyYAML imports dataclasses
+        code = "import sys, dfrc.cli; print('dataclasses' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == "False\n"
+
+
 class TestVerifyFailurePath:
     def test_corrupted_solution_exits_3(self, tmp_path, capsys, monkeypatch):
         # drive the report through the library hook that perturbs the beam

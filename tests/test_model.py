@@ -1,4 +1,8 @@
+import copy
 import math
+import pickle
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +11,11 @@ from dfrc import (
     ArrayGeometry,
     RadarSnrSpec,
     Scenario,
+    assemble_covariance,
+    beam_pattern,
+    grid_search_oracle,
+    kkt_check,
+    random_falsifier,
     resolve_radar_spec,
     solve_closed_form,
     steering_vector,
@@ -38,7 +47,7 @@ class TestArrayGeometry:
     def test_numpy_antenna_count_stored_as_int(self):
         assert type(ArrayGeometry(np.uint8(4), 0.5).num_antennas) is int
 
-    @pytest.mark.parametrize("d", [0.0, -0.25, math.nan])
+    @pytest.mark.parametrize("d", [0.0, -0.25, math.nan, "0.5", True, np.True_])
     def test_bad_spacing(self, d):
         with pytest.raises(ValueError):
             ArrayGeometry(4, d)
@@ -77,7 +86,7 @@ class TestSteeringVector:
             assert np.vdot(v, v).real == pytest.approx(m, rel=1e-14)
             assert v[0] == 1.0 + 0.0j
 
-    @pytest.mark.parametrize("angle", [1.8, -1.8, math.nan])
+    @pytest.mark.parametrize("angle", [1.8, -1.8, math.nan, "0.3", True])
     def test_angle_domain(self, angle):
         with pytest.raises(ValueError):
             steering_vector(ArrayGeometry(4, 0.5), angle)
@@ -141,6 +150,11 @@ class TestScenario:
         bad[1] = complex(math.inf, 0.0)
         with pytest.raises(ValueError):
             Scenario(geom, 0.0, bad, 1.0)
+        # real numbers only: these used to be read through float()
+        with pytest.raises(ValueError):
+            Scenario(geom, 0.0, ch, True)
+        with pytest.raises(ValueError):
+            Scenario.with_los_user(geom, "0.3", 0.1, "2.0")
 
     @pytest.mark.parametrize(
         "scale, message",
@@ -266,12 +280,19 @@ class TestRadarSnrSpec:
     def test_positive_loss_rejected(self, reference_scenario):
         with pytest.raises(ValueError):
             resolve_radar_spec(RadarSnrSpec(snr_loss_db=0.5), reference_scenario)
+        for loss in ("-3", True, np.False_):
+            with pytest.raises(ValueError, match="^snr_loss_db must be a real number"):
+                resolve_radar_spec(RadarSnrSpec(snr_loss_db=loss), reference_scenario)
 
     def test_negative_inputs_rejected(self, reference_scenario):
         with pytest.raises(ValueError):
             resolve_radar_spec(RadarSnrSpec(gamma=-1.0), reference_scenario)
         with pytest.raises(ValueError):
             resolve_radar_spec(RadarSnrSpec(snr_threshold=-1.0), reference_scenario)
+        with pytest.raises(ValueError, match="^gamma must be a real number, got '5'$"):
+            resolve_radar_spec(RadarSnrSpec(gamma="5"), reference_scenario)
+        with pytest.raises(ValueError, match="^snr_threshold must be a real number, got True$"):
+            resolve_radar_spec(RadarSnrSpec(snr_threshold=True), reference_scenario)
 
     @pytest.mark.parametrize(
         "spec",
@@ -289,3 +310,108 @@ class TestRadarSnrSpec:
         # beyond the budget: resolution still works, the solver rejects later
         spec = resolve_radar_spec(RadarSnrSpec(gamma=20.0), reference_scenario)
         assert spec.snr_loss_db > 0.0
+
+
+_GEOMETRY = ArrayGeometry(4, 0.5)
+_CHANNEL = np.ones(4, dtype=complex)
+# each scalar real input with a way to pass it a value
+_REAL_INPUTS = {
+    "spacing_over_wavelength": lambda v: ArrayGeometry(4, v),
+    "angle": lambda v: steering_vector(_GEOMETRY, v),
+    "target_angle": lambda v: Scenario(_GEOMETRY, v, _CHANNEL, 1.0),
+    "user_angle": lambda v: Scenario.with_los_user(_GEOMETRY, 0.1, v, 1.0),
+    "power_budget": lambda v: Scenario(_GEOMETRY, 0.1, _CHANNEL, v),
+    "target_amplitude": lambda v: Scenario(_GEOMETRY, 0.1, _CHANNEL, 1.0, v),
+}
+
+
+class TestRealInputs:
+    """Scalar real inputs are checked, never coerced: a bool is not a number."""
+
+    @pytest.mark.parametrize("value", ["0.5", True, np.True_, None, 0.5j, np.array(0.5)])
+    @pytest.mark.parametrize("label", list(_REAL_INPUTS))
+    def test_non_real_rejected_with_its_name(self, label, value):
+        with pytest.raises(ValueError) as info:
+            _REAL_INPUTS[label](value)
+        assert str(info.value) == f"{label} must be a real number, got {value!r}"
+
+    def test_python_and_numpy_reals_stored_as_float(self):
+        g = ArrayGeometry(4, np.float32(0.5))
+        sc = Scenario(g, np.float16(0.25), _CHANNEL, np.int64(2), Fraction(1, 2))
+        values = (g.spacing_over_wavelength, sc.target_angle, sc.power_budget, sc.target_amplitude)
+        assert values == (0.5, 0.25, 2.0, 0.5)
+        assert all(type(v) is float for v in values)
+
+
+class TestValueTypes:
+    """Slotted ArrayGeometry and Scenario, NamedTuple records: all read-only."""
+
+    @staticmethod
+    def _values(sc):
+        sol = solve_closed_form(sc, 5.0)
+        return [
+            sc.geometry,
+            sc,
+            RadarSnrSpec(gamma=1.0),
+            sol,
+            beam_pattern(assemble_covariance(sol.vector_c), sc.geometry),
+            grid_search_oracle(sc, 5.0, resolution=64),
+            kkt_check(sol, sc, 5.0),
+            random_falsifier(sc, 5.0, trials=10),
+        ]
+
+    def test_attributes_are_read_only(self, reference_scenario):
+        values = self._values(reference_scenario)
+        assert len({type(v) for v in values}) == 8
+        for value in values:
+            for name in (*value._fields, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(value, name, 0.0)
+                with pytest.raises(AttributeError):
+                    delattr(value, name)
+        with pytest.raises(AttributeError):
+            reference_scenario.channel_norm_sq = 1.0
+
+    def test_records_are_tuples(self, reference_scenario):
+        sol = self._values(reference_scenario)[3]
+        assert sol == tuple(sol) and len(sol) == 5
+        assert sol._fields == ("case", "coeff_a", "coeff_b", "vector_c", "capacity_bits")
+        assert repr(sol).startswith("BeamformerSolution(case=<CaseTag.ACTIVE: 'active'>, coeff_a=")
+
+    def test_exports(self):
+        import dfrc
+        from dfrc.closed_form import BeamformerSolution
+        from dfrc.oracle import FalsifierResult, KktCertificate, OracleSolution
+
+        names = [n for n in dfrc.__all__ if n != "__version__"]
+        assert len(names) == len(set(names)) == 23
+        for record in (BeamformerSolution, OracleSolution, KktCertificate, FalsifierResult):
+            assert record.__name__ not in names and issubclass(record, tuple)
+
+    def test_equal_geometries_compare_and_hash_equal(self):
+        g = ArrayGeometry(8, 0.5)
+        twin = ArrayGeometry(np.int64(8), np.float32(0.5))
+        assert g is not twin and g == twin and hash(g) == hash(twin)
+        assert {g: 1}[twin] == 1
+        assert g != ArrayGeometry(8, 0.25) and g != ArrayGeometry(9, 0.5)
+        assert g != (8, 0.5)
+        assert repr(g) == "ArrayGeometry(num_antennas=8, spacing_over_wavelength=0.5)"
+
+    def test_scenarios_compare_by_identity(self, reference_scenario):
+        sc = reference_scenario
+        twin = Scenario(sc.geometry, sc.target_angle, sc.channel, sc.power_budget)
+        assert sc == sc and sc != twin and len({sc, twin}) == 2
+
+    def test_copies_are_built_by_init(self, reference_scenario):
+        # no copy or unpickled value skips the checks: each is built by __init__
+        for value in (reference_scenario.geometry, reference_scenario):
+            cls = type(value)
+            assert not hasattr(cls, "_replace") and not hasattr(cls, "_make")
+            for copied in (
+                copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
+            ):
+                assert type(copied) is cls and repr(copied) == repr(value)
+            with mock.patch.object(cls, "__init__", side_effect=ValueError("checked")):
+                for make in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+                    with pytest.raises(ValueError, match="checked"):
+                        make(value)

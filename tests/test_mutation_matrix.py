@@ -13,7 +13,6 @@ none of them only the sampling checks (``oracle_gap``, ``falsifier``).
 """
 
 import cmath
-import dataclasses
 import math
 
 import numpy as np
@@ -46,7 +45,7 @@ def _beam(make):
         solution = solve_closed_form(scenario, gamma)
         c = np.asarray(make(scenario, gamma, solution), dtype=np.complex128)
         c.setflags(write=False)
-        return dataclasses.replace(solution, vector_c=c)
+        return solution._replace(vector_c=c)
 
     return {"solve_closed_form": solve}
 

@@ -233,12 +233,10 @@ class TestKktCheck:
         assert cert.bound == pytest.approx(_received(sc, sol.vector_c), rel=1e-12)
 
     def test_detects_corrupted_beam(self, reference_scenario):
-        import dataclasses
-
         sc = reference_scenario
         sol = solve_closed_form(sc, 5.0)
         bad_c = sol.vector_c + 0.05 * np.exp(1j * 0.7) * np.ones(10)
-        bad = dataclasses.replace(sol, vector_c=bad_c)
+        bad = sol._replace(vector_c=bad_c)
         cert = kkt_check(bad, sc, 5.0)
         # D bounds every feasible beam, so a beam above it is infeasible: this
         # one overshoots the power budget
@@ -246,23 +244,19 @@ class TestKktCheck:
         assert float(np.vdot(bad_c, bad_c).real) > 1.2 * sc.power_budget
 
     def test_suboptimal_feasible_beam_falls_short_of_the_bound(self, reference_scenario):
-        import dataclasses
-
         sc = reference_scenario
         # feasible and power-exact, but aimed entirely at the target
         c = sc.target_steering * math.sqrt(
             sc.power_budget / sc.steering_norm_sq
         )
         sol = solve_closed_form(sc, 5.0)
-        cand = dataclasses.replace(sol, vector_c=c)
+        cand = sol._replace(vector_c=c)
         cert = kkt_check(cand, sc, 5.0)
         assert cert.bound - _received(sc, c) == pytest.approx(6.4 - 0.2, rel=1e-12)
 
     def test_candidate_shape_must_match(self, reference_scenario):
-        import dataclasses
-
         sol = solve_closed_form(reference_scenario, 5.0)
-        short = dataclasses.replace(sol, vector_c=sol.vector_c[:9])
+        short = sol._replace(vector_c=sol.vector_c[:9])
         with pytest.raises(ValueError, match=r"candidate beam must have shape \(10,\), got \(9,\)"):
             kkt_check(short, reference_scenario, 5.0)
 

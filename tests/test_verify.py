@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import json
 import math
 import re
@@ -133,6 +132,13 @@ class TestRunVerification:
             with pytest.raises(ValueError, match="^perturb must be"):
                 quick(5.0, perturb=perturb)
 
+    @pytest.mark.parametrize("gamma", ["5", True, np.True_, 5j, None])
+    def test_bad_gamma_rejected_before_solving(self, quick, gamma):
+        # "5" used to be read through float()
+        with mock.patch.object(verify, "solve_closed_form", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="^gamma must be a real number, got "):
+                quick(gamma)
+
     @pytest.mark.parametrize("refine", ["no", 1, None])
     def test_non_bool_refine_rejected_before_solving(self, quick, refine):
         # the oracle always refines: refine= is gone, whatever its value
@@ -205,7 +211,7 @@ def _target_beam(scenario, gamma):
     c = scenario.target_steering * math.sqrt(
         scenario.power_budget / scenario.steering_norm_sq
     )
-    return dataclasses.replace(solution, vector_c=c)
+    return solution._replace(vector_c=c)
 
 
 class TestScaleFreeBounds:
